@@ -1,0 +1,14 @@
+"""Make the program (``src/``) and the ``perfbench`` package importable.
+
+Run from the root of a checkout: ``python3 -m pytest perfbench/tests``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
