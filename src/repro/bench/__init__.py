@@ -3,22 +3,22 @@
 from repro.bench.harness import (
     BaselineRow,
     DetectionRow,
-    LintRow,
+    ScreenRow,
     baseline_run,
     detection_run,
-    lint_run,
     max_bound_within_budget,
+    screen_run,
 )
 from repro.bench.tables import fmt_bool, fmt_memory, fmt_seconds, render_table
 
 __all__ = [
     "BaselineRow",
     "DetectionRow",
-    "LintRow",
+    "ScreenRow",
     "baseline_run",
     "detection_run",
-    "lint_run",
     "max_bound_within_budget",
+    "screen_run",
     "fmt_bool",
     "fmt_memory",
     "fmt_seconds",

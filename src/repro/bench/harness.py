@@ -216,57 +216,15 @@ def tracking_objective(netlist, spec, register, candidate, direction="after"):
 
 
 @dataclass
-class LintRow:
-    """Static lint pre-pass figures for one design.
+class ScreenRow:
+    """One screen's figures for one design.
 
-    The per-rule hit counts and lint runtime sit next to the formal
-    engines' numbers in the experiment tables: the pre-pass costs
-    milliseconds and the hit pattern shows *which* structural signature
-    each Trojan family trips.
-    """
-
-    label: str
-    elapsed: float
-    findings: int
-    rule_hits: dict = field(default_factory=dict)  # rule -> hit count
-    flagged_registers: dict = field(default_factory=dict)  # name -> score
-    max_severity: str | None = None
-
-    @property
-    def flagged(self):
-        """True when lint implicated at least one register."""
-        return bool(self.flagged_registers)
-
-
-def lint_run(label, netlist, spec=None, config=None):
-    """Run the static lint pre-pass on one design; returns a LintRow.
-
-    Mirrors :func:`detection_run`'s shape so a bench sweep can record a
-    lint column per (design) row without re-deriving anything: the
-    engine's own per-rule timing lands in ``rule_hits`` companions via
-    the report, and the row keeps only the table-facing numbers.
-    """
-    from repro.lint import lint_design
-
-    report = lint_design(netlist, spec, config=config, design=label)
-    return LintRow(
-        label=label,
-        elapsed=report.elapsed,
-        findings=len(report.findings),
-        rule_hits=dict(report.rule_hits),
-        flagged_registers=report.register_scores(),
-        max_severity=report.max_severity,
-    )
-
-
-@dataclass
-class IftRow:
-    """Static IFT screen figures for one design.
-
-    The row exists to make the modality's cost visible next to the
-    solver columns: ``solver_calls`` is identically zero (the screen is
-    pure graph traversal) and ``elapsed`` is expected to stay well
-    under a second per design.
+    The row makes a screen's cost visible next to the solver columns:
+    ``solver_calls`` is identically zero (the screens are graph
+    traversal and bit-parallel simulation) and ``figures`` holds what
+    the screen reports beyond the shared counts — rule hits for lint,
+    tainted registers and fixpoint rounds for IFT, divergent registers
+    and stimulus cycles/lanes for the diff screen.
     """
 
     label: str
@@ -274,92 +232,33 @@ class IftRow:
     findings: int
     suspicious: int
     flagged_registers: dict = field(default_factory=dict)  # name -> score
-    tainted_registers: list = field(default_factory=list)
-    max_rounds: int = 0  # deepest fixpoint any register needed
+    figures: dict = field(default_factory=dict)  # report.bench_figures()
     solver_calls: int = 0  # by construction; kept explicit for tables
 
     @property
     def flagged(self):
-        """True when IFT implicated at least one register."""
+        """True when the screen implicated at least one register."""
         return bool(self.flagged_registers)
 
 
-def ift_row(label, report):
-    """Condense an :class:`~repro.ift.findings.IftReport` to an IftRow."""
-    return IftRow(
+def screen_row(label, report):
+    """Condense a screen report to a :class:`ScreenRow`."""
+    return ScreenRow(
         label=label,
         elapsed=report.elapsed,
         findings=len(report.findings),
         suspicious=report.severity_counts.get("suspicious", 0),
         flagged_registers=report.register_scores(),
-        tainted_registers=report.tainted_registers,
-        max_rounds=max(
-            (st.rounds for st in report.register_stats.values()),
-            default=0,
-        ),
+        figures=report.bench_figures(),
     )
 
 
-def ift_run(label, netlist, spec):
-    """Run the static IFT screen on one design; returns an IftRow.
-
-    Mirrors :func:`lint_run`'s shape so bench sweeps can record the
-    screen's timing/verdict without re-deriving anything.
-    """
-    from repro.ift import analyze_design
-
-    return ift_row(label, analyze_design(netlist, spec, design=label))
-
-
-@dataclass
-class DiffRow:
-    """Golden-model differential screen figures for one design.
-
-    Like :class:`IftRow`, the row makes the modality's cost visible
-    next to the solver columns: ``solver_calls`` is identically zero
-    (the screen is pure bit-parallel simulation) and ``cycles`` /
-    ``lanes`` record how much stimulus bought the verdict.
-    """
-
-    label: str
-    elapsed: float
-    findings: int
-    suspicious: int
-    flagged_registers: dict = field(default_factory=dict)  # name -> score
-    divergent_registers: list = field(default_factory=list)
-    cycles: int = 0  # total stimulus cycles driven across phases
-    lanes: int = 0  # bit-parallel lanes per cycle
-    solver_calls: int = 0  # by construction; kept explicit for tables
-
-    @property
-    def flagged(self):
-        """True when the diff screen implicated at least one register."""
-        return bool(self.flagged_registers)
-
-
-def diff_row(label, report):
-    """Condense a :class:`~repro.diff.findings.DiffReport` to a DiffRow."""
-    return DiffRow(
-        label=label,
-        elapsed=report.elapsed,
-        findings=len(report.findings),
-        suspicious=report.severity_counts.get("suspicious", 0),
-        flagged_registers=report.register_scores(),
-        divergent_registers=report.divergent_registers,
-        cycles=report.cycles,
-        lanes=report.lanes,
+def screen_run(screen, label, netlist, spec, **options):
+    """Run one screen (a :class:`~repro.screens.Screen`) on one design;
+    returns a :class:`ScreenRow`."""
+    return screen_row(
+        label, screen.analyze(netlist, spec, design=label, **options)
     )
-
-
-def diff_run(label, netlist, spec):
-    """Run the differential screen on one design; returns a DiffRow.
-
-    Mirrors :func:`ift_run`'s shape so bench sweeps can record the
-    screen's timing/verdict without re-deriving anything.
-    """
-    from repro.diff import analyze_design
-
-    return diff_row(label, analyze_design(netlist, spec, design=label))
 
 
 @dataclass
@@ -373,8 +272,7 @@ class AuditRow:
     status: str  # "ok" or "degraded"
     registers: int
     report: object = None  # the full DetectionReport
-    ift: object = None  # IftRow when the sweep ran with ift=True
-    diff: object = None  # DiffRow when the sweep ran with diff=True
+    screens: dict = field(default_factory=dict)  # name -> ScreenRow
 
     @property
     def match(self):
@@ -384,7 +282,7 @@ class AuditRow:
 def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
                 time_budget=None, check_pseudo_critical=False,
                 check_bypass=False, cache_dir=None, runner=None,
-                ift=False, diff=False):
+                screens=()):
     """Run Algorithm 1 over many designs, scored against ground truth.
 
     ``designs`` is a list of ``(label, netlist, spec)`` triples.  With
@@ -396,16 +294,12 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
     serially through the classic detector loop (the baseline the
     speedup acceptance criterion compares against).
 
-    With ``ift=True``, the static IFT screen runs first per design, its
-    report is fused into that design's audit (register prioritization,
-    ``ift_evidence``, ``leakage_suspect`` statuses) and each
-    :class:`AuditRow` carries the screen's timing/verdict figures as
-    ``row.ift`` (an :class:`IftRow`).
-
-    With ``diff=True``, the golden-model differential screen runs the
-    same way: its report is fused into the audit (``diff_evidence``,
-    ``differential_suspect`` statuses, prioritization) and each row
-    carries ``row.diff`` (a :class:`DiffRow`).
+    Each of ``screens`` (:class:`~repro.screens.Screen` records) runs
+    first per design: its report is fused into that design's audit
+    (register prioritization, evidence, ``leakage_suspect`` /
+    ``differential_suspect`` statuses) and each :class:`AuditRow`
+    carries the screen's figures in ``row.screens[name]`` (a
+    :class:`ScreenRow`).
 
     Returns a list of :class:`AuditRow` in input order; ``row.match``
     is False where the verdict disagrees with the design's bundled
@@ -424,25 +318,16 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
         cache_dir=cache_dir,
         jobs=jobs,
     )
-    ift_rows = {}
-    diff_rows = {}
+    screen_rows = []
     configs = []
     for label, netlist, spec in designs:
-        overrides = {}
-        if ift:
-            from repro.ift import analyze_design
-
-            ift_report = analyze_design(netlist, spec, design=label)
-            ift_rows[label] = ift_row(label, ift_report)
-            overrides["ift_report"] = ift_report
-        if diff:
-            from repro.diff import analyze_design as diff_analyze
-
-            diff_report = diff_analyze(netlist, spec, design=label)
-            diff_rows[label] = diff_row(label, diff_report)
-            overrides["diff_report"] = diff_report
-        configs.append(replace(config, **overrides) if overrides
-                       else config)
+        reports = [
+            screen.analyze(netlist, spec, design=label) for screen in screens
+        ]
+        screen_rows.append({
+            report.screen: screen_row(label, report) for report in reports
+        })
+        configs.append(replace(config, screen_reports=tuple(reports)))
     detectors = [
         TrojanDetector(netlist, spec, config=cfg, runner=runner)
         for (_label, netlist, spec), cfg in zip(designs, configs)
@@ -455,7 +340,9 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
     else:
         reports = [detector.run() for detector in detectors]
     rows = []
-    for (label, _netlist, spec), report in zip(designs, reports):
+    for (label, _netlist, spec), report, by_screen in zip(
+        designs, reports, screen_rows
+    ):
         rows.append(AuditRow(
             label=label,
             trojan_found=report.trojan_found,
@@ -464,8 +351,7 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
             status="degraded" if report.degraded else "ok",
             registers=len(report.findings),
             report=report,
-            ift=ift_rows.get(label),
-            diff=diff_rows.get(label),
+            screens=by_screen,
         ))
     return rows
 

@@ -36,58 +36,30 @@ Commands
             --jobs 4 --max-cycles 12
 
     ``--jobs``, ``--cache-dir`` and ``--trace`` are spelled the same
-    on ``audit``, ``bench`` and ``lint`` (one shared parent parser).
+    on ``audit``, ``bench`` and the screens (one shared parent parser).
 
-``lint``
-    Run the static lint pre-pass (see README "Static lint pre-pass")::
+``lint`` / ``ift`` / ``diff``
+    Run one screen (see README "Screens"): the static lint pre-pass,
+    the information-flow taint screen, or the golden-model
+    differential screen. All three take the same flags and zero solver
+    calls::
 
-        python -m repro lint --design mc8051-t800
-        python -m repro lint --design aes --json report.json \\
-            --sarif report.sarif --disable unread-net
-
-    Exits 1 when any finding reaches ``--fail-on`` (default
-    ``suspicious``) — same convention as ``audit``, so a Trojan-shaped
-    structure is a nonzero exit. ``--lint-prioritize`` on ``audit``
-    runs this pass first and audits flagged registers before clean
-    ones, attaching the static evidence to each finding.
-
-``ift``
-    Run the static information-flow taint screen (see README
-    "Information-flow screening")::
-
+        python -m repro lint --design mc8051-t800 --disable unread-net
         python -m repro ift --design mc8051-t800
-        python -m repro ift --sarif all.sarif --json -
+        python -m repro diff --sarif all.sarif --json - --jobs 4
 
-    Zero solver calls: taint sources are the write-port nets a
-    register's ValidWays spec does not document, and findings mean
-    taint reached the critical register, a primary output, or another
-    register's write enable. ``--sarif`` writes one merged multi-run
-    SARIF document holding the lint *and* IFT runs of the selected
-    designs (``--no-lint`` for IFT runs only). ``--ift`` on ``audit``
-    fuses the screen into Algorithm 1: flagged registers are audited
-    first, taint findings attach as ``ift_evidence``, and an IFT hit
-    the dynamic checks cannot reproduce becomes a ``leakage_suspect``
+    Without ``--design`` every built-in design is screened; ``--jobs N``
+    forks one process per design. ``--sarif`` writes one run per design,
+    merged with the runs of the screens before it in portfolio order
+    (lint, ift, diff) unless ``--no-lint`` / ``--no-ift``. Exits 1 when
+    any finding reaches ``--fail-on`` (default ``suspicious``) — same
+    convention as ``audit``, so a Trojan-shaped structure is a nonzero
+    exit. On ``audit``, ``--lint-prioritize``, ``--ift`` and ``--diff``
+    run the screens first: flagged registers are audited earlier,
+    findings attach as ``lint_evidence`` / ``ift_evidence`` /
+    ``diff_evidence``, and an IFT or diff hit the dynamic checks cannot
+    reproduce becomes a ``leakage_suspect`` / ``differential_suspect``
     status.
-
-``diff``
-    Run the golden-model differential screen (see README "Differential
-    screening")::
-
-        python -m repro diff --design risc-t100
-        python -m repro diff --sarif all.sarif --json -
-
-    Zero solver calls: each critical register's ValidWays spec is
-    compiled into an executable reference next-state function, the
-    implementation is driven with seeded lane-parallel stimulus, and a
-    finding means the register departed from *every* documented way's
-    prediction on some cycle (with a replayable VCD witness attached).
-    ``--sarif`` writes one merged multi-run SARIF document holding the
-    lint, IFT *and* diff runs of the selected designs (``--no-lint`` /
-    ``--no-ift`` to drop the companion passes). ``--diff`` on ``audit``
-    fuses the screen into Algorithm 1: divergence findings attach as
-    ``diff_evidence``, flagged registers are audited first, and a
-    divergence the dynamic checks cannot corroborate becomes a
-    ``differential_suspect`` status.
 
 ``cache``
     Inspect or maintain a check-outcome cache directory (see README
@@ -169,6 +141,13 @@ import sys
 
 from repro.core import AuditConfig, TrojanDetector
 from repro.frontend import design_names, load_design
+from repro.screens import (
+    SCREENS,
+    by_name,
+    map_designs,
+    severity_rank,
+    write_sarif,
+)
 
 
 def _load(source):
@@ -236,72 +215,87 @@ def _lint_config_from_args(args):
     )
 
 
-def _lint_one(design, config):
-    """Lint one bundled design; returns plain data (fork-Pool friendly)."""
-    from repro.lint import Linter
+def _screen_one(name, design, companions, options, traced):
+    """Run one screen on one design, after its SARIF ``companions``
+    (screen names); returns plain data (fork-Pool friendly).
+
+    With ``traced``, the screens run under a buffer tracer whose events
+    and counters travel back for the parent's trace, so serial and
+    forked runs write the same spans.
+    """
+    from repro.obs.tracer import NULL_TRACER, BufferTracer, tracing
 
     netlist, spec = _load(design)
-    report = Linter(config=config).run(netlist, spec, design=design)
+    tracer = BufferTracer() if traced else NULL_TRACER
+    with tracing(tracer):
+        reports = [
+            by_name(other).analyze(netlist, spec, design=design)
+            for other in companions
+        ]
+        report = by_name(name).analyze(
+            netlist, spec, design=design, **options
+        )
     return {
         "design": design,
-        "summary": report.summary(),
-        "json": report.to_json(),
-        "severities": [f.severity for f in report.findings],
-        "findings": len(report.findings),
-        "elapsed": report.elapsed,
         "report": report,
+        "companions": reports,
+        "trace": (
+            tracer.drain(), tracer.metrics.snapshot()["counters"]
+        ) if traced else None,
     }
 
 
-def cmd_lint(args, out=sys.stdout):
-    from repro.lint import LintConfigError, severity_rank, write_sarif
-
-    designs = args.design
+def cmd_screen(args, out=sys.stdout):
+    """``repro lint|ift|diff``: one screen over one or more designs."""
+    screen = by_name(args.command)
+    designs = args.design or design_names()
     if args.cache_dir:
         raise SystemExit(
-            "lint runs no property checks, so it has no outcome cache; "
-            "--cache-dir applies to audit/bench"
+            "{} runs no property checks, so it has no outcome cache; "
+            "--cache-dir applies to audit/bench".format(screen.name)
         )
-    try:
-        config = _lint_config_from_args(args)
-    except LintConfigError as exc:
-        raise SystemExit(str(exc))
-    if args.sarif and len(designs) > 1:
-        raise SystemExit("--sarif writes one log; pass a single --design")
-    jobs = args.jobs or 1
-    try:
-        if jobs > 1 and len(designs) > 1:
-            import multiprocessing
+    options = {}
+    if args.command == "lint":
+        from repro.lint import LintConfigError
 
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(min(jobs, len(designs))) as pool:
-                results = pool.starmap(
-                    _lint_one, [(d, config) for d in designs]
-                )
-        else:
-            results = [_lint_one(d, config) for d in designs]
-    except LintConfigError as exc:
-        raise SystemExit(str(exc))
+        try:
+            options["config"] = _lint_config_from_args(args)
+        except LintConfigError as exc:
+            raise SystemExit(str(exc))
+    # the screens before this one in portfolio order ride along in the
+    # SARIF log unless --no-<screen> drops them
+    companions = [
+        other.name for other in SCREENS[:SCREENS.index(screen)]
+        if args.sarif and not getattr(args, "no_" + other.name)
+    ]
+    results = map_designs(
+        _screen_one,
+        [(screen.name, d, companions, options, bool(args.trace))
+         for d in designs],
+        args.jobs,
+    )
     if args.trace:
         from repro.obs.tracer import Tracer
 
         tracer = Tracer(args.trace)
         try:
             for res in results:
-                tracer.end(tracer.begin(
-                    "lint", design=res["design"],
-                    findings=res["findings"], elapsed=res["elapsed"],
-                ))
+                events, counters = res["trace"]
+                tracer.absorb(events)
+                tracer.metrics.merge_counters(counters)
         finally:
             tracer.close()
     if args.json:
         if len(designs) == 1:
-            payload = results[0]["json"]
+            payload = results[0]["report"].to_json()
         else:
             import json as json_mod
 
             payload = json_mod.dumps(
-                {r["design"]: json_mod.loads(r["json"]) for r in results},
+                {
+                    r["design"]: json_mod.loads(r["report"].to_json())
+                    for r in results
+                },
                 indent=2,
             )
         if args.json == "-":
@@ -312,255 +306,20 @@ def cmd_lint(args, out=sys.stdout):
                 handle.write("\n")
             print("wrote", args.json, file=out)
     if args.sarif:
-        write_sarif(args.sarif, results[0]["report"])
+        write_sarif(args.sarif, [
+            report for res in results
+            for report in res["companions"] + [res["report"]]
+        ])
         print("wrote", args.sarif, file=out)
     if not args.json or args.json != "-":
         for res in results:
-            print(res["summary"], file=out)
+            print(res["report"].summary(), file=out)
     floor = severity_rank(args.fail_on)
     failing = [
-        sev
+        finding
         for res in results
-        for sev in res["severities"]
-        if severity_rank(sev) >= floor
-    ]
-    return 1 if failing else 0
-
-
-def _ift_one(design, with_lint):
-    """IFT-screen one bundled design; returns plain data (fork-Pool
-    friendly). With ``with_lint``, the default-config lint pass runs too
-    so the SARIF export can merge both modalities' runs."""
-    from repro.ift import analyze_design
-
-    netlist, spec = _load(design)
-    lint_report = None
-    if with_lint:
-        from repro.lint import lint_design
-
-        lint_report = lint_design(netlist, spec, design=design)
-    report = analyze_design(netlist, spec, design=design)
-    return {
-        "design": design,
-        "summary": report.summary(),
-        "json": report.to_json(),
-        "severities": [f.severity for f in report.findings],
-        "findings": len(report.findings),
-        "elapsed": report.elapsed,
-        "report": report,
-        "lint_report": lint_report,
-    }
-
-
-def cmd_ift(args, out=sys.stdout):
-    from repro.lint import severity_rank
-
-    designs = args.design or design_names()
-    if args.cache_dir:
-        raise SystemExit(
-            "ift runs no property checks, so it has no outcome cache; "
-            "--cache-dir applies to audit/bench"
-        )
-    with_lint = bool(args.sarif) and not args.no_lint
-    jobs = args.jobs or 1
-    if jobs > 1 and len(designs) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(jobs, len(designs))) as pool:
-            results = pool.starmap(
-                _ift_one, [(d, with_lint) for d in designs]
-            )
-    elif args.trace:
-        # serial + traced: install a real tracer so the screen's own
-        # ift / ift.register spans land in the trace tree
-        from repro.obs.tracer import Tracer, tracing
-
-        tracer = Tracer(args.trace)
-        try:
-            with tracing(tracer):
-                results = [_ift_one(d, with_lint) for d in designs]
-        finally:
-            tracer.close()
-    else:
-        results = [_ift_one(d, with_lint) for d in designs]
-    if args.trace and jobs > 1 and len(designs) > 1:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer(args.trace)
-        try:
-            for res in results:
-                tracer.end(tracer.begin(
-                    "ift", design=res["design"],
-                    findings=res["findings"], elapsed=res["elapsed"],
-                ))
-        finally:
-            tracer.close()
-    if args.json:
-        if len(designs) == 1:
-            payload = results[0]["json"]
-        else:
-            import json as json_mod
-
-            payload = json_mod.dumps(
-                {r["design"]: json_mod.loads(r["json"]) for r in results},
-                indent=2,
-            )
-        if args.json == "-":
-            print(payload, file=out)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload)
-                handle.write("\n")
-            print("wrote", args.json, file=out)
-    if args.sarif:
-        from repro.ift.sarif import merged_sarif
-        from repro.report.sarif import write_log
-
-        lint_reports = [
-            r["lint_report"] for r in results if r["lint_report"] is not None
-        ]
-        write_log(
-            args.sarif,
-            merged_sarif([r["report"] for r in results], lint_reports),
-        )
-        print("wrote", args.sarif, file=out)
-    if not args.json or args.json != "-":
-        for res in results:
-            print(res["summary"], file=out)
-    floor = severity_rank(args.fail_on)
-    failing = [
-        sev
-        for res in results
-        for sev in res["severities"]
-        if severity_rank(sev) >= floor
-    ]
-    return 1 if failing else 0
-
-
-def _diff_one(design, with_lint, with_ift):
-    """Diff-screen one bundled design; returns plain data (fork-Pool
-    friendly). With ``with_lint``/``with_ift``, the companion screens
-    run too so the SARIF export can merge all three modalities' runs."""
-    from repro.diff import analyze_design
-
-    netlist, spec = _load(design)
-    lint_report = None
-    if with_lint:
-        from repro.lint import lint_design
-
-        lint_report = lint_design(netlist, spec, design=design)
-    ift_report = None
-    if with_ift:
-        from repro.ift import analyze_design as ift_analyze
-
-        ift_report = ift_analyze(netlist, spec, design=design)
-    report = analyze_design(netlist, spec, design=design)
-    return {
-        "design": design,
-        "summary": report.summary(),
-        "json": report.to_json(),
-        "severities": [f.severity for f in report.findings],
-        "findings": len(report.findings),
-        "elapsed": report.elapsed,
-        "report": report,
-        "lint_report": lint_report,
-        "ift_report": ift_report,
-    }
-
-
-def cmd_diff(args, out=sys.stdout):
-    from repro.lint import severity_rank
-
-    designs = args.design or design_names()
-    if args.cache_dir:
-        raise SystemExit(
-            "diff runs no property checks, so it has no outcome cache; "
-            "--cache-dir applies to audit/bench"
-        )
-    with_lint = bool(args.sarif) and not args.no_lint
-    with_ift = bool(args.sarif) and not args.no_ift
-    jobs = args.jobs or 1
-    if jobs > 1 and len(designs) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(jobs, len(designs))) as pool:
-            results = pool.starmap(
-                _diff_one, [(d, with_lint, with_ift) for d in designs]
-            )
-    elif args.trace:
-        # serial + traced: install a real tracer so the screen's own
-        # diff / diff.phase spans land in the trace tree
-        from repro.obs.tracer import Tracer, tracing
-
-        tracer = Tracer(args.trace)
-        try:
-            with tracing(tracer):
-                results = [
-                    _diff_one(d, with_lint, with_ift) for d in designs
-                ]
-        finally:
-            tracer.close()
-    else:
-        results = [_diff_one(d, with_lint, with_ift) for d in designs]
-    if args.trace and jobs > 1 and len(designs) > 1:
-        from repro.obs.tracer import Tracer
-
-        tracer = Tracer(args.trace)
-        try:
-            for res in results:
-                tracer.end(tracer.begin(
-                    "diff", design=res["design"],
-                    findings=res["findings"], elapsed=res["elapsed"],
-                ))
-        finally:
-            tracer.close()
-    if args.json:
-        if len(designs) == 1:
-            payload = results[0]["json"]
-        else:
-            import json as json_mod
-
-            payload = json_mod.dumps(
-                {r["design"]: json_mod.loads(r["json"]) for r in results},
-                indent=2,
-            )
-        if args.json == "-":
-            print(payload, file=out)
-        else:
-            with open(args.json, "w") as handle:
-                handle.write(payload)
-                handle.write("\n")
-            print("wrote", args.json, file=out)
-    if args.sarif:
-        from repro.diff.sarif import merged_sarif
-        from repro.report.sarif import write_log
-
-        lint_reports = [
-            r["lint_report"] for r in results if r["lint_report"] is not None
-        ]
-        ift_reports = [
-            r["ift_report"] for r in results if r["ift_report"] is not None
-        ]
-        write_log(
-            args.sarif,
-            merged_sarif(
-                [r["report"] for r in results],
-                ift_reports=ift_reports,
-                lint_reports=lint_reports,
-            ),
-        )
-        print("wrote", args.sarif, file=out)
-    if not args.json or args.json != "-":
-        for res in results:
-            print(res["summary"], file=out)
-    floor = severity_rank(args.fail_on)
-    failing = [
-        sev
-        for res in results
-        for sev in res["severities"]
-        if severity_rank(sev) >= floor
+        for finding in res["report"].findings
+        if severity_rank(finding.severity) >= floor
     ]
     return 1 if failing else 0
 
@@ -588,56 +347,15 @@ def cmd_audit(args, out=sys.stdout):
         retries=args.retries,
         profile_dir=profile_dir,
     )
-    lint_report = None
-    if args.lint_prioritize:
-        from repro.lint import lint_design
-
-        lint_report = lint_design(netlist, spec, design=args.design)
-        print(
-            "lint pre-pass: {} finding{} in {:.2f}s; priority: {}".format(
-                len(lint_report.findings),
-                "" if len(lint_report.findings) == 1 else "s",
-                lint_report.elapsed,
-                ", ".join(
-                    lint_report.prioritize(registers or list(spec.critical))
-                ),
-            ),
-            file=out,
-        )
-    ift_report = None
-    if args.ift:
-        from repro.ift import analyze_design
-
-        ift_report = analyze_design(netlist, spec, design=args.design)
-        flagged = ift_report.tainted_registers
-        print(
-            "ift pre-pass: {} taint finding{} in {:.2f}s{}".format(
-                len(ift_report.findings),
-                "" if len(ift_report.findings) == 1 else "s",
-                ift_report.elapsed,
-                "; flagged: {}".format(", ".join(flagged))
-                if flagged
-                else "",
-            ),
-            file=out,
-        )
-    diff_report = None
-    if args.diff:
-        from repro.diff import analyze_design as diff_analyze
-
-        diff_report = diff_analyze(netlist, spec, design=args.design)
-        divergent = diff_report.divergent_registers
-        print(
-            "diff pre-pass: {} divergence finding{} in {:.2f}s{}".format(
-                len(diff_report.findings),
-                "" if len(diff_report.findings) == 1 else "s",
-                diff_report.elapsed,
-                "; divergent: {}".format(", ".join(divergent))
-                if divergent
-                else "",
-            ),
-            file=out,
-        )
+    reports = []
+    for screen in SCREENS:
+        if getattr(args, screen.name):
+            report = screen.analyze(netlist, spec, design=args.design)
+            reports.append(report)
+            print(
+                screen.prepass_line(report, registers or list(spec.critical)),
+                file=out,
+            )
     cache_dir = None if args.no_cache else args.cache_dir
     config = AuditConfig(
         max_cycles=args.max_cycles,
@@ -646,9 +364,7 @@ def cmd_audit(args, out=sys.stdout):
         check_pseudo_critical=args.check_pseudo_critical,
         check_bypass=args.check_bypass,
         time_budget=args.budget,
-        lint_report=lint_report,
-        ift_report=ift_report,
-        diff_report=diff_report,
+        screen_reports=tuple(reports),
         cache_dir=cache_dir,
         share_cones=args.share_cones,
         trace=args.trace,
@@ -686,6 +402,8 @@ def cmd_bench(args, out=sys.stdout):
 
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
+    # screens with a bench flag; each gets a row column, null when off
+    bench_screens = [s for s in SCREENS if s.bench_note]
     names = args.design or design_names()
     designs = []
     for name in names:
@@ -714,8 +432,7 @@ def cmd_bench(args, out=sys.stdout):
             check_bypass=args.check_bypass,
             cache_dir=args.cache_dir,
             runner=runner,
-            ift=args.ift,
-            diff=args.diff,
+            screens=[s for s in bench_screens if getattr(args, s.name)],
         )
     wall = time_mod.perf_counter() - start
     if args.json:
@@ -733,23 +450,12 @@ def cmd_bench(args, out=sys.stdout):
                     "status": row.status,
                     "elapsed": row.elapsed,
                     "registers": row.registers,
-                    "ift": {
-                        "elapsed": row.ift.elapsed,
-                        "findings": row.ift.findings,
-                        "suspicious": row.ift.suspicious,
-                        "tainted_registers": row.ift.tainted_registers,
-                        "max_rounds": row.ift.max_rounds,
-                        "solver_calls": row.ift.solver_calls,
-                    } if row.ift is not None else None,
-                    "diff": {
-                        "elapsed": row.diff.elapsed,
-                        "findings": row.diff.findings,
-                        "suspicious": row.diff.suspicious,
-                        "divergent_registers": row.diff.divergent_registers,
-                        "cycles": row.diff.cycles,
-                        "lanes": row.diff.lanes,
-                        "solver_calls": row.diff.solver_calls,
-                    } if row.diff is not None else None,
+                    **{
+                        screen.name: _bench_screen_json(
+                            row.screens.get(screen.name)
+                        )
+                        for screen in bench_screens
+                    },
                 }
                 for row in rows
             ],
@@ -759,28 +465,21 @@ def cmd_bench(args, out=sys.stdout):
             verdict = "TROJAN" if row.trojan_found else "clean"
             expected = "TROJAN" if row.expected else "clean"
             marker = "ok" if row.match else "MISMATCH"
-            ift_extra = ""
-            if row.ift is not None:
-                ift_extra = (
-                    " ift[{} finding(s), {:.3f}s, {} solver call(s)]"
-                ).format(
-                    row.ift.findings, row.ift.elapsed,
-                    row.ift.solver_calls,
+            extras = "".join(
+                " {}[{} finding(s), {:.3f}s, {}]".format(
+                    name, srow.findings, srow.elapsed,
+                    by_name(name).bench_note.format(
+                        solver_calls=srow.solver_calls,
+                        flagged=len(srow.flagged_registers),
+                    ),
                 )
-            diff_extra = ""
-            if row.diff is not None:
-                diff_extra = (
-                    " diff[{} finding(s), {:.3f}s, {} divergent "
-                    "register(s)]"
-                ).format(
-                    row.diff.findings, row.diff.elapsed,
-                    len(row.diff.divergent_registers),
-                )
+                for name, srow in row.screens.items()
+            )
             print(
                 "{:18s} {:7s} (expected {:7s}) {:9s} {:8.2f}s "
-                "{:2d} register(s) [{}]{}{}".format(
+                "{:2d} register(s) [{}]{}".format(
                     row.label, verdict, expected, marker, row.elapsed,
-                    row.registers, row.status, ift_extra, diff_extra,
+                    row.registers, row.status, extras,
                 ),
                 file=out,
             )
@@ -794,6 +493,20 @@ def cmd_bench(args, out=sys.stdout):
     if args.trace:
         print("trace written to {}".format(args.trace), file=out)
     return 1 if any(not row.match for row in rows) else 0
+
+
+def _bench_screen_json(row):
+    """A bench row's screen column: the shared counts around the
+    screen's own figures (``None`` when the screen did not run)."""
+    if row is None:
+        return None
+    return {
+        "elapsed": row.elapsed,
+        "findings": row.findings,
+        "suspicious": row.suspicious,
+        **row.figures,
+        "solver_calls": row.solver_calls,
+    }
 
 
 def cmd_trace(args, out=sys.stdout):
@@ -1038,8 +751,8 @@ def _corpus_run(args, out):
     )
 
     modalities = tuple(
-        m for m in ("lint", "ift", "diff")
-        if not getattr(args, "no_{}".format(m))
+        screen.name for screen in SCREENS
+        if not getattr(args, "no_" + screen.name)
     )
     if not modalities and not args.audit:
         raise SystemExit("every screening modality is disabled")
@@ -1124,16 +837,18 @@ def _corpus_stats(args, out):
 def _shared_parent():
     """Flags spelled identically on every command that supports them.
 
-    ``audit``, ``bench`` and ``lint`` all accept ``--jobs``,
-    ``--cache-dir`` and ``--trace`` with the same spelling and meaning —
-    one parent parser, not three hand-copied declarations that drift.
+    ``audit``, ``bench`` and the screens (``lint``, ``ift``, ``diff``)
+    all accept ``--jobs``, ``--cache-dir`` and ``--trace`` with the same
+    spelling and meaning — one parent parser, not hand-copied
+    declarations that drift. The screens reject ``--cache-dir``: they
+    run no property checks.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("shared options")
     group.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="run work on N parallel workers (audit/bench: "
-                            "one persistent check-worker pool; lint: one "
-                            "process per design)")
+                            "one persistent check-worker pool; lint/ift/"
+                            "diff: one process per design)")
     group.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="consult and populate a content-addressed "
                             "check-outcome cache in DIR: re-audits of an "
@@ -1196,7 +911,8 @@ def build_parser():
     p_audit.add_argument("--resume", metavar="CHECKPOINT.json", default=None,
                          help="persist completed register findings here and "
                               "resume from them if the file exists")
-    p_audit.add_argument("--lint-prioritize", action="store_true",
+    p_audit.add_argument("--lint-prioritize", dest="lint",
+                         action="store_true",
                          help="run the static lint pre-pass first, audit "
                               "flagged registers before clean-looking ones "
                               "and attach lint evidence to findings")
@@ -1256,24 +972,43 @@ def build_parser():
                               "add its timing/verdict figures to every "
                               "row")
 
-    p_lint = sub.add_parser("lint", parents=[shared],
-                            help="static structural lint pre-pass")
-    p_lint.add_argument("--design", required=True, action="append",
-                        help="lint this design (repeatable)")
-    p_lint.add_argument("--json", metavar="PATH",
-                        help="write the JSON report here ('-' for stdout)")
-    p_lint.add_argument("--sarif", metavar="PATH",
-                        help="write a SARIF 2.1.0 log here")
+    for index, screen in enumerate(SCREENS):
+        companions = SCREENS[:index]
+        p_screen = sub.add_parser(screen.name, parents=[shared],
+                                  help=screen.title)
+        p_screen.add_argument("--design", action="append",
+                              help="screen this design (repeatable; "
+                                   "default: every bundled design)")
+        p_screen.add_argument("--json", metavar="PATH",
+                              help="write the JSON report here ('-' for "
+                                   "stdout)")
+        p_screen.add_argument(
+            "--sarif", metavar="PATH",
+            help="write a SARIF 2.1.0 log here, one run per design"
+                 + "".join(
+                     "; with the {} runs unless --no-{}".format(
+                         other.name, other.name)
+                     for other in companions
+                 ),
+        )
+        for other in companions:
+            p_screen.add_argument("--no-" + other.name, action="store_true",
+                                  help="with --sarif: skip the {} "
+                                       "pass".format(other.name))
+        p_screen.add_argument(
+            "--fail-on", default="suspicious",
+            choices=["info", "warn", "suspicious", "error"],
+            help="exit 1 when any {}finding is at least this severe "
+                 "(default: suspicious)".format(
+                     screen.noun + " " if screen.noun else ""),
+        )
+    p_lint = sub.choices["lint"]
     p_lint.add_argument("--disable", action="append", metavar="RULE",
                         help="disable a rule by name (repeatable)")
     p_lint.add_argument("--suppress", action="append",
                         metavar="RULE_GLOB:SUBJECT_GLOB",
                         help="suppress findings whose rule and subject "
                              "match the globs (repeatable)")
-    p_lint.add_argument("--fail-on", default="suspicious",
-                        choices=["info", "warn", "suspicious", "error"],
-                        help="exit 1 when any finding is at least this "
-                             "severe (default: suspicious)")
     p_lint.add_argument("--wide-comparator-width", type=int, default=16,
                         help="wide-comparator rule threshold")
     p_lint.add_argument("--counter-influence-limit", type=int, default=4,
@@ -1281,50 +1016,6 @@ def build_parser():
     p_lint.add_argument("--max-depth-lint", type=int, default=48,
                         metavar="DEPTH",
                         help="excessive-depth rule ceiling")
-
-    p_ift = sub.add_parser(
-        "ift", parents=[shared],
-        help="static information-flow taint screen (no solver)",
-    )
-    p_ift.add_argument("--design", action="append",
-                       help="screen this design (repeatable; default: "
-                            "every bundled design)")
-    p_ift.add_argument("--json", metavar="PATH",
-                       help="write the JSON report here ('-' for stdout)")
-    p_ift.add_argument("--sarif", metavar="PATH",
-                       help="write a SARIF 2.1.0 log here — one merged "
-                            "multi-run document with the lint runs of the "
-                            "same designs unless --no-lint")
-    p_ift.add_argument("--no-lint", action="store_true",
-                       help="with --sarif: emit only the IFT runs, skip "
-                            "the lint pass")
-    p_ift.add_argument("--fail-on", default="suspicious",
-                       choices=["info", "warn", "suspicious", "error"],
-                       help="exit 1 when any taint finding is at least "
-                            "this severe (default: suspicious)")
-
-    p_diff = sub.add_parser(
-        "diff", parents=[shared],
-        help="golden-model differential screen (no solver)",
-    )
-    p_diff.add_argument("--design", action="append",
-                        help="screen this design (repeatable; default: "
-                             "every bundled design)")
-    p_diff.add_argument("--json", metavar="PATH",
-                        help="write the JSON report here ('-' for stdout)")
-    p_diff.add_argument("--sarif", metavar="PATH",
-                        help="write a SARIF 2.1.0 log here — one merged "
-                             "multi-run document with the lint and IFT "
-                             "runs of the same designs unless --no-lint/"
-                             "--no-ift")
-    p_diff.add_argument("--no-lint", action="store_true",
-                        help="with --sarif: skip the lint pass")
-    p_diff.add_argument("--no-ift", action="store_true",
-                        help="with --sarif: skip the IFT pass")
-    p_diff.add_argument("--fail-on", default="suspicious",
-                        choices=["info", "warn", "suspicious", "error"],
-                        help="exit 1 when any divergence finding is at "
-                             "least this severe (default: suspicious)")
 
     p_cache = sub.add_parser(
         "cache", help="inspect or maintain a check-outcome cache"
@@ -1487,9 +1178,7 @@ def main(argv=None, out=sys.stdout):
         "cache": cmd_cache,
         "trace": cmd_trace,
         "export": cmd_export,
-        "lint": cmd_lint,
-        "ift": cmd_ift,
-        "diff": cmd_diff,
+        **{screen.name: cmd_screen for screen in SCREENS},
         "serve": cmd_serve,
         "submit": cmd_submit,
         "jobs": cmd_jobs,

@@ -50,6 +50,7 @@ from repro.runner import (
 from repro.runner.checkpoint import (
     warn_checkpoint_lost as _warn_checkpoint_lost,
 )
+from repro.screens import attach_evidence
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,7 @@ class AuditConfig:
     time_budget: float | None = None
     pseudo_critical_cycles: int | None = None
     stop_on_first: bool = True
-    lint_report: object = None
-    ift_report: object = None
-    diff_report: object = None
+    screen_reports: tuple = ()
     cache_dir: str | None = None
     share_cones: bool = False
     trace: object = None
@@ -108,37 +107,32 @@ class AuditConfig:
 _CONFIG_FIELDS = tuple(f.name for f in fields(AuditConfig))
 
 
-def fused_register_scores(lint_report=None, ift_report=None,
-                          diff_report=None):
-    """Combined screen priority scores from lint, IFT and diff.
+def fused_register_scores(reports):
+    """Combined priority scores of several screen reports.
 
-    Per-register scores from the modalities simply add: each report
+    Per-register scores from the screens simply add: each report
     already weighs its findings on the shared severity ladder
-    (:data:`~repro.lint.findings.SEVERITY_WEIGHT`), so a register
+    (:data:`~repro.screens.SEVERITY_WEIGHT`), so a register
     implicated by several screens outranks one implicated by fewer.
     """
     scores = {}
-    for report in (lint_report, ift_report, diff_report):
-        if report is None:
-            continue
+    for report in reports:
         for name, score in report.register_scores().items():
             scores[name] = scores.get(name, 0) + score
     return scores
 
 
-def prioritize_registers(names, lint_report=None, ift_report=None,
-                         diff_report=None):
+def prioritize_registers(names, reports=()):
     """Order ``names`` most-suspicious-first (stable ties).
 
-    The fused generalization of ``LintReport.prioritize``: with only a
-    lint report it reduces to exactly that ordering; IFT and diff
-    reports promote their flagged registers the same way. Used
-    identically by the serial detector loop and the parallel scheduler
-    so both audit registers in the same order.
+    The fused generalization of ``ScreenReport.prioritize``: with one
+    report it reduces to exactly that ordering. Used identically by the
+    serial detector loop and the parallel scheduler so both audit
+    registers in the same order.
     """
-    if lint_report is None and ift_report is None and diff_report is None:
+    if not reports:
         return list(names)
-    scores = fused_register_scores(lint_report, ift_report, diff_report)
+    scores = fused_register_scores(reports)
     order = {name: index for index, name in enumerate(names)}
     return sorted(
         names, key=lambda name: (-scores.get(name, 0), order[name])
@@ -207,31 +201,19 @@ class TrojanDetector:
         isolation, hard limits and retries. The default runs checks
         in-process with a single attempt — the pre-supervision
         behaviour, minus the crashes.
-    lint_report:
-        A :class:`~repro.lint.findings.LintReport` from the static
-        pre-pass. When given, Algorithm 1's outer loop is reordered so
-        lint-flagged registers are audited first (the supervised
-        runner's budget reaches the likeliest suspects before the
-        clean-looking majority), and each register's lint findings are
-        attached to its :class:`RegisterFinding` as ``lint_evidence``.
-    ift_report:
-        An :class:`~repro.ift.findings.IftReport` from the static
-        information-flow screen. Fused exactly like ``lint_report``:
-        its register scores add to lint's for Algorithm 1's audit
-        order, and each register's taint findings are attached as
-        ``ift_evidence``. A register the IFT screen flagged but every
-        dynamic check passed is reported with the distinct
-        ``leakage_suspect`` status (see
-        :attr:`RegisterFinding.leakage_suspect`).
-    diff_report:
-        A :class:`~repro.diff.findings.DiffReport` from the golden-model
-        differential screen. Fused exactly like ``ift_report``: its
-        register scores add into Algorithm 1's audit order, and each
-        register's divergence findings are attached as
-        ``diff_evidence``. A register the diff screen flagged but every
-        dynamic check passed is reported with the distinct
-        ``differential_suspect`` status (see
-        :attr:`RegisterFinding.differential_suspect`).
+    screen_reports:
+        Reports of the screens that ran first (:mod:`repro.screens`:
+        lint, IFT, golden-model diff). Their register scores add up to
+        reorder Algorithm 1's outer loop, so flagged registers are
+        audited first (the supervised runner's budget reaches the
+        likeliest suspects before the clean-looking majority), and each
+        register's findings attach to its :class:`RegisterFinding`
+        under the screen's evidence field (``lint_evidence``,
+        ``ift_evidence``, ``diff_evidence``). A register the IFT or diff
+        screen flagged but every dynamic check passed is reported as
+        ``leakage_suspect`` or ``differential_suspect`` (see
+        :attr:`RegisterFinding.status`). The screens never decide a
+        verdict.
     cache_dir:
         Directory of the content-addressed outcome cache
         (:mod:`repro.cache`). When set, every Eq. (2)/(3) objective
@@ -301,9 +283,7 @@ class TrojanDetector:
         )
         self.stop_on_first = config.stop_on_first
         self.runner = runner if runner is not None else CheckRunner()
-        self.lint_report = config.lint_report
-        self.ift_report = config.ift_report
-        self.diff_report = config.diff_report
+        self.screen_reports = tuple(config.screen_reports)
         self.cache_dir = config.cache_dir
         self.share_cones = config.share_cones
         self.trace = config.trace
@@ -373,10 +353,7 @@ class TrojanDetector:
             )
         try:
             names = registers or list(self.spec.critical)
-            names = prioritize_registers(
-                names, self.lint_report, self.ift_report,
-                self.diff_report,
-            )
+            names = prioritize_registers(names, self.screen_reports)
             store = None
             if checkpoint is not None:
                 store = (
@@ -450,18 +427,7 @@ class TrojanDetector:
         spec = self.spec.spec_for(register)
         session = self._register_session()
         finding = RegisterFinding(register=register)
-        if self.lint_report is not None:
-            finding.lint_evidence = [
-                f.to_dict() for f in self.lint_report.findings_for(register)
-            ]
-        if self.ift_report is not None:
-            finding.ift_evidence = [
-                f.to_dict() for f in self.ift_report.findings_for(register)
-            ]
-        if self.diff_report is not None:
-            finding.diff_evidence = [
-                f.to_dict() for f in self.diff_report.findings_for(register)
-            ]
+        attach_evidence(finding, self.screen_reports)
 
         if self.check_pseudo_critical:
             finding.pseudo_criticals = self._find_pseudo_criticals(

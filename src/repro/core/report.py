@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.screens import SCREENS
+
 #: keys whose values vary run-to-run (wall clock, RSS, cache bookkeeping);
 #: :func:`scrub_volatile` strips them so two audits of the same design can
 #: be compared byte-for-byte — the basis of the ``--jobs N`` determinism
@@ -336,48 +338,10 @@ class DetectionReport:
                 parts.append("{} {}".format(name, outcome.describe()))
             if not parts:
                 parts.append("clean within bound")
-            if getattr(finding, "lint_evidence", None):
-                parts.append(
-                    "lint: {} static finding{} ({})".format(
-                        len(finding.lint_evidence),
-                        "" if len(finding.lint_evidence) == 1 else "s",
-                        ", ".join(
-                            sorted(
-                                {e["rule"] for e in finding.lint_evidence}
-                            )
-                        ),
-                    )
-                )
-            if getattr(finding, "ift_evidence", None):
-                parts.append(
-                    "ift: {} taint finding{} ({}){}".format(
-                        len(finding.ift_evidence),
-                        "" if len(finding.ift_evidence) == 1 else "s",
-                        ", ".join(
-                            sorted(
-                                {e["rule"] for e in finding.ift_evidence}
-                            )
-                        ),
-                        " — LEAKAGE SUSPECT"
-                        if finding.leakage_suspect
-                        else "",
-                    )
-                )
-            if getattr(finding, "diff_evidence", None):
-                parts.append(
-                    "diff: {} divergence finding{} ({}){}".format(
-                        len(finding.diff_evidence),
-                        "" if len(finding.diff_evidence) == 1 else "s",
-                        ", ".join(
-                            sorted(
-                                {e["rule"] for e in finding.diff_evidence}
-                            )
-                        ),
-                        " — DIFFERENTIAL SUSPECT"
-                        if finding.differential_suspect
-                        else "",
-                    )
-                )
+            for screen in SCREENS:
+                line = screen.evidence_line(finding)
+                if line is not None:
+                    parts.append(line)
             if getattr(finding, "restored", False):
                 parts.append("restored from checkpoint")
             lines.append("  {}: {}".format(register, "; ".join(parts)))

@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import glob
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
 
 from repro.corpus.bundle import load_bundle
 from repro.corpus.mutate import MANIFEST_NAME
 from repro.errors import CorpusError
+from repro.screens import SCREENS, by_name, map_designs, severity_rank
 
 REPORT_FORMAT = "repro-corpus-report"
 REPORT_VERSION = 1
-DEFAULT_MODALITIES = ("lint", "ift", "diff")
+DEFAULT_MODALITIES = tuple(screen.name for screen in SCREENS)
 
 
 @dataclass(frozen=True)
@@ -94,34 +94,12 @@ def corpus_paths(corpus_dir):
     return paths
 
 
-def _run_modality(modality, netlist, spec, design):
-    if modality == "lint":
-        from repro.lint import lint_design
-
-        return lint_design(netlist, spec, design=design)
-    if modality == "ift":
-        from repro.ift import analyze_design
-
-        return analyze_design(netlist, spec, design=design)
-    if modality == "diff":
-        from repro.diff import analyze_design
-
-        return analyze_design(netlist, spec, design=design)
-    raise CorpusError(
-        "unknown modality {!r}; known: {}".format(
-            modality, ", ".join(DEFAULT_MODALITIES)
-        )
-    )
-
-
 def screen_bundle(path, config=None):
     """Screen one bundle through the enabled modalities; returns a row.
 
     Module-level so a fork Pool can ship it to workers; the row is a
     plain dict ready for :func:`score_results`.
     """
-    from repro.lint import severity_rank
-
     if config is None:
         config = RunConfig()
     bundle = load_bundle(path)
@@ -130,7 +108,11 @@ def screen_bundle(path, config=None):
     floor = severity_rank(config.fail_on)
     modalities = {}
     for modality in config.modalities:
-        report = _run_modality(modality, netlist, spec, netlist.name)
+        try:
+            screen = by_name(modality)
+        except ValueError as exc:
+            raise CorpusError(str(exc)) from None
+        report = screen.analyze(netlist, spec, design=netlist.name)
         flagged = sorted(
             {
                 finding.severity
@@ -164,15 +146,9 @@ def run_corpus(corpus_dir, config=None, progress=None):
     if config is None:
         config = RunConfig()
     paths = corpus_paths(corpus_dir)
-    jobs = max(1, min(config.jobs, len(paths)))
-    if jobs > 1:
-        context = multiprocessing.get_context("fork")
-        with context.Pool(jobs) as pool:
-            rows = pool.starmap(
-                screen_bundle, [(path, config) for path in paths]
-            )
-    else:
-        rows = [screen_bundle(path, config) for path in paths]
+    rows = map_designs(
+        screen_bundle, [(path, config) for path in paths], config.jobs
+    )
     if config.audit:
         _audit_rows(paths, rows, config)
     if progress is not None:

@@ -14,7 +14,7 @@ Public surface::
     analyze_design(netlist, spec, design=...)   -> DiffReport
     build_golden_models(netlist, spec)          -> (clone, models)
     build_phases(netlist, spec, models, config) -> [Phase]
-    to_sarif / write_sarif / merged_sarif       -> SARIF 2.1.0
+    to_sarif / write_sarif                      -> SARIF 2.1.0
 """
 
 from repro.diff.findings import (
@@ -24,9 +24,9 @@ from repro.diff.findings import (
     RegisterDiffStats,
 )
 from repro.diff.golden import GoldenModel, WayMonitor, build_golden_models
-from repro.diff.sarif import merged_sarif, to_sarif, write_sarif
 from repro.diff.screen import DiffConfig, analyze_design
 from repro.diff.stimulus import Phase, build_phases
+from repro.screens import merged_sarif as to_sarif, write_sarif
 
 __all__ = [
     "DIFF_RULES",
@@ -40,7 +40,6 @@ __all__ = [
     "analyze_design",
     "build_golden_models",
     "build_phases",
-    "merged_sarif",
     "to_sarif",
     "write_sarif",
 ]

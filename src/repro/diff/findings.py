@@ -11,17 +11,11 @@ cycles driven, divergence counts) that the bench harness reads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.lint.findings import (
-    SEVERITIES,
-    SEVERITY_WEIGHT,
-    SUSPICIOUS,
-    LintFinding,
-    severity_rank,
-)
+from repro.lint.findings import LintFinding
+from repro.screens import SUSPICIOUS, ScreenReport
 
 # Rule registry of the differential screen: id -> (severity,
 # description). Two rules, one per evidence tier: a divergence reached
@@ -72,7 +66,7 @@ class RegisterDiffStats:
 
 
 @dataclass
-class DiffReport:
+class DiffReport(ScreenReport):
     """All differential findings for one design."""
 
     design: str
@@ -83,53 +77,27 @@ class DiffReport:
     cycles: int = 0
     elapsed: float = 0.0
 
-    # ------------------------------------------------------------- queries
+    screen = "diff"
+    rules = DIFF_RULES
+    divergent_registers = ScreenReport.flagged_registers
 
-    def findings_for(self, register: str) -> list:
-        """Findings implicating one register."""
-        return [f for f in self.findings if f.register == register]
+    def bench_figures(self) -> dict:
+        return {
+            "divergent_registers": self.divergent_registers,
+            "cycles": self.cycles,
+            "lanes": self.lanes,
+        }
 
-    @property
-    def max_severity(self) -> "str | None":
-        if not self.findings:
-            return None
-        return max(
-            self.findings, key=lambda f: severity_rank(f.severity)
-        ).severity
+    def sarif_properties(self) -> dict:
+        return dict(
+            super().sarif_properties(),
+            seed=self.seed, lanes=self.lanes, cycles=self.cycles,
+        )
 
-    @property
-    def severity_counts(self) -> dict:
-        counts = {name: 0 for name in SEVERITIES}
-        for finding in self.findings:
-            counts[finding.severity] += 1
-        return counts
-
-    @property
-    def rule_hits(self) -> dict:
-        """Per-rule hit counts (every diff rule, zero included)."""
-        counts = {rule: 0 for rule in DIFF_RULES}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return counts
-
-    @property
-    def divergent_registers(self) -> list:
-        """Screened registers with at least one finding, sorted."""
-        return sorted({f.register for f in self.findings if f.register})
-
-    def register_scores(self) -> dict:
-        """Priority score per implicated register (higher = audit first)."""
-        scores: dict[str, int] = {}
-        for finding in self.findings:
-            if finding.register is None:
-                continue
-            scores[finding.register] = (
-                scores.get(finding.register, 0)
-                + SEVERITY_WEIGHT[finding.severity]
-            )
-        return scores
-
-    # ------------------------------------------------------- serialization
+    def _scope_detail(self) -> str:
+        return "; seed {}, {} lanes, {} cycles".format(
+            self.seed, self.lanes, self.cycles
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -146,45 +114,6 @@ class DiffReport:
             "severity_counts": self.severity_counts,
             "register_scores": self.register_scores(),
         }
-
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def summary(self) -> str:
-        """Human-readable multi-line report."""
-        counts = self.severity_counts
-        screened = len(self.register_stats)
-        sourced = sum(
-            1 for st in self.register_stats.values() if st.num_sources
-        )
-        lines = [
-            "diff {!r}: {} finding{} ({}) over {} register{} "
-            "({} with undocumented sources; seed {}, {} lanes, "
-            "{} cycles) in {:.2f}s".format(
-                self.design,
-                len(self.findings),
-                "" if len(self.findings) == 1 else "s",
-                ", ".join(
-                    "{} {}".format(counts[name], name)
-                    for name in reversed(SEVERITIES)
-                    if counts[name]
-                )
-                or "clean",
-                screened,
-                "" if screened == 1 else "s",
-                sourced,
-                self.seed,
-                self.lanes,
-                self.cycles,
-                self.elapsed,
-            )
-        ]
-        for finding in sorted(
-            self.findings,
-            key=lambda f: -severity_rank(f.severity),
-        ):
-            lines.append("  {}".format(finding))
-        return "\n".join(lines)
 
 
 def make_finding(

@@ -1,13 +1,9 @@
-"""SARIF 2.1.0 export of differential reports, via the shared writer.
+"""SARIF run builder of the differential screen.
 
 One :class:`~repro.diff.findings.DiffReport` becomes one ``run`` under
-driver ``repro-diff``. :func:`merged_sarif` is what the CLI writes by
-default: the lint, IFT and differential runs of the same designs in a
-single multi-run log — the full three-modality portfolio as one scan
-artifact.
-
-The VCD witness is stripped from SARIF evidence (``witnessVcd`` would
-dwarf every other property in a scanning UI); its cycle count and
+driver ``repro-diff`` (:func:`repro.report.sarif.screen_run`), with the
+VCD witness stripped from each result's evidence: ``witnessVcd`` would
+dwarf every other property in a scanning UI. Its cycle count and
 replay coordinates stay, and the full witness remains in the JSON
 report and fused audit evidence.
 """
@@ -16,101 +12,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.diff.findings import DIFF_RULES
-from repro.report.sarif import (
-    driver_rule,
-    finding_result,
-    make_log,
-    write_log,
-)
-
-__all__ = ["diff_runs", "to_sarif", "write_sarif", "merged_sarif"]
+from repro.report.sarif import screen_run
 
 
-def _driver_rules() -> list:
-    return [
-        driver_rule(rule_id, description, severity)
-        for rule_id, (severity, description) in DIFF_RULES.items()
-    ]
-
-
-def _result(finding: Any, rule_index: "int | None") -> dict:
-    result = finding_result(finding, rule_index)
-    evidence = result["properties"]["evidence"]
-    evidence.pop("witness_vcd", None)
-    return result
-
-
-def _run(report: Any) -> dict:
-    rules = _driver_rules()
-    index = {entry["id"]: i for i, entry in enumerate(rules)}
-    return {
-        "tool": {
-            "driver": {
-                "name": "repro-diff",
-                "informationUri": (
-                    "https://github.com/paper-repro/conf-dac-trojan"
-                ),
-                "version": "0.2.0",
-                "rules": rules,
-            }
-        },
-        "results": [
-            _result(finding, index.get(finding.rule))
-            for finding in report.findings
-        ],
-        "properties": {
-            "design": report.design,
-            "seed": report.seed,
-            "lanes": report.lanes,
-            "cycles": report.cycles,
-            "elapsed": report.elapsed,
-            "ruleHits": report.rule_hits,
-            "registerStats": {
-                name: stats.to_dict()
-                for name, stats in report.register_stats.items()
-            },
-        },
-    }
-
-
-def diff_runs(reports: Any) -> list:
-    """SARIF runs (one per report) for merging with other modalities."""
-    if not isinstance(reports, (list, tuple)):
-        reports = [reports]
-    return [_run(report) for report in reports]
-
-
-def to_sarif(reports: Any) -> dict:
-    """SARIF log dict of differential runs only."""
-    return make_log(diff_runs(reports))
-
-
-def merged_sarif(
-    diff_reports: Any,
-    ift_reports: Any = None,
-    lint_reports: Any = None,
-) -> dict:
-    """One multi-run log: lint, then IFT, then differential runs."""
-    from repro.ift.sarif import ift_runs
-    from repro.lint.sarif import lint_runs
-
-    runs: list = []
-    if lint_reports:
-        runs.extend(lint_runs(lint_reports))
-    if ift_reports:
-        runs.extend(ift_runs(ift_reports))
-    runs.extend(diff_runs(diff_reports))
-    return make_log(runs)
-
-
-def write_sarif(
-    path: Any,
-    reports: Any,
-    ift_reports: Any = None,
-    lint_reports: Any = None,
-) -> Any:
-    """Write differential (optionally three-run merged) SARIF."""
-    return write_log(
-        path, merged_sarif(reports, ift_reports, lint_reports)
-    )
+def sarif_run(screen: Any, report: Any) -> dict:
+    """The shared screen run, minus each result's VCD witness."""
+    run = screen_run(screen, report)
+    for result in run["results"]:
+        result["properties"]["evidence"].pop("witness_vcd", None)
+    return run

@@ -14,7 +14,7 @@ Public surface::
     analyze_design(netlist, spec, design=...)  -> IftReport
     derive_sources(netlist, spec, register, analysis) -> TaintSources
     propagate(netlist, sources)                -> TaintResult
-    to_sarif / write_sarif / merged_sarif      -> SARIF 2.1.0
+    to_sarif / write_sarif                     -> SARIF 2.1.0
 """
 
 from repro.ift.analyze import IftConfig, analyze_design
@@ -26,8 +26,8 @@ from repro.ift.findings import (
     RegisterIftStats,
 )
 from repro.ift.lattice import MAYBE, TAINTED, UNTAINTED, join, weaken
-from repro.ift.sarif import merged_sarif, to_sarif, write_sarif
 from repro.ift.sources import TaintSources, derive_sources
+from repro.screens import merged_sarif as to_sarif, write_sarif
 
 __all__ = [
     "IFT_RULES",
@@ -43,7 +43,6 @@ __all__ = [
     "analyze_design",
     "derive_sources",
     "join",
-    "merged_sarif",
     "propagate",
     "shortest_taint_path",
     "to_sarif",

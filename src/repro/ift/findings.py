@@ -11,18 +11,11 @@ sizes) that the bench harness and the termination tests read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.lint.findings import (
-    SEVERITIES,
-    SEVERITY_WEIGHT,
-    SUSPICIOUS,
-    WARN,
-    LintFinding,
-    severity_rank,
-)
+from repro.lint.findings import LintFinding
+from repro.screens import SUSPICIOUS, WARN, ScreenReport
 
 # Rule registry of the IFT screen: id -> (severity, description). Kept
 # as data (not classes) because IFT is one analysis with three sink
@@ -73,7 +66,7 @@ class RegisterIftStats:
 
 
 @dataclass
-class IftReport:
+class IftReport(ScreenReport):
     """All IFT findings for one design."""
 
     design: str
@@ -81,53 +74,18 @@ class IftReport:
     register_stats: dict = field(default_factory=dict)  # name -> stats
     elapsed: float = 0.0
 
-    # ------------------------------------------------------------- queries
+    screen = "ift"
+    rules = IFT_RULES
+    tainted_registers = ScreenReport.flagged_registers
 
-    def findings_for(self, register: str) -> list:
-        """Findings implicating one register."""
-        return [f for f in self.findings if f.register == register]
-
-    @property
-    def max_severity(self) -> "str | None":
-        if not self.findings:
-            return None
-        return max(
-            self.findings, key=lambda f: severity_rank(f.severity)
-        ).severity
-
-    @property
-    def severity_counts(self) -> dict:
-        counts = {name: 0 for name in SEVERITIES}
-        for finding in self.findings:
-            counts[finding.severity] += 1
-        return counts
-
-    @property
-    def rule_hits(self) -> dict:
-        """Per-rule hit counts (every IFT rule, zero included)."""
-        counts = {rule: 0 for rule in IFT_RULES}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return counts
-
-    @property
-    def tainted_registers(self) -> list:
-        """Screened registers with at least one finding, sorted."""
-        return sorted({f.register for f in self.findings if f.register})
-
-    def register_scores(self) -> dict:
-        """Priority score per implicated register (higher = audit first)."""
-        scores: dict[str, int] = {}
-        for finding in self.findings:
-            if finding.register is None:
-                continue
-            scores[finding.register] = (
-                scores.get(finding.register, 0)
-                + SEVERITY_WEIGHT[finding.severity]
-            )
-        return scores
-
-    # ------------------------------------------------------- serialization
+    def bench_figures(self) -> dict:
+        return {
+            "tainted_registers": self.tainted_registers,
+            "max_rounds": max(
+                (st.rounds for st in self.register_stats.values()),
+                default=0,
+            ),
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -141,43 +99,6 @@ class IftReport:
             "severity_counts": self.severity_counts,
             "register_scores": self.register_scores(),
         }
-
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def summary(self) -> str:
-        """Human-readable multi-line report."""
-        counts = self.severity_counts
-        screened = len(self.register_stats)
-        sourced = sum(
-            1
-            for st in self.register_stats.values()
-            if st.num_sources
-        )
-        lines = [
-            "ift {!r}: {} finding{} ({}) over {} register{} "
-            "({} with undocumented sources) in {:.2f}s".format(
-                self.design,
-                len(self.findings),
-                "" if len(self.findings) == 1 else "s",
-                ", ".join(
-                    "{} {}".format(counts[name], name)
-                    for name in reversed(SEVERITIES)
-                    if counts[name]
-                )
-                or "clean",
-                screened,
-                "" if screened == 1 else "s",
-                sourced,
-                self.elapsed,
-            )
-        ]
-        for finding in sorted(
-            self.findings,
-            key=lambda f: -severity_rank(f.severity),
-        ):
-            lines.append("  {}".format(finding))
-        return "\n".join(lines)
 
 
 def make_finding(

@@ -29,7 +29,7 @@ from repro.lint.findings import (
     severity_rank,
 )
 from repro.lint.rules import RULE_REGISTRY, Rule, RuleContext, all_rules, rule
-from repro.lint.sarif import to_sarif, write_sarif
+from repro.screens import merged_sarif as to_sarif, write_sarif
 
 __all__ = [
     "DesignAnalysis",

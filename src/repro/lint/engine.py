@@ -23,6 +23,7 @@ from repro.lint.findings import (
     severity_rank,
 )
 from repro.lint.rules import RULE_REGISTRY, RuleContext, all_rules
+from repro.obs.tracer import get_tracer
 
 
 class LintConfigError(ReproError):
@@ -98,40 +99,42 @@ class Linter:
         name = design or (spec.name if spec is not None else netlist.name)
         ctx = RuleContext(analysis, self.config, design=name)
         report = LintReport(design=name)
-        for rule in self.rules:
-            if not self.config.enabled(rule.name):
-                continue
-            rule_started = time.perf_counter()
-            # A rule that needs structure a broken netlist cannot provide
-            # (e.g. a topological order when a read net is undriven) fails
-            # alone; the hygiene rules that diagnose the breakage still
-            # run, so a broken design gets a report instead of a traceback.
-            try:
-                produced = rule.run(ctx)
-            except ReproError as exc:
-                produced = [
-                    LintFinding(
-                        rule=rule.name,
-                        severity=ERROR,
-                        message="rule could not run on this netlist: "
-                        "{}".format(exc),
-                        design=name,
-                        evidence={"crashed": type(exc).__name__},
-                    )
-                ]
-            kept = []
-            for finding in produced:
-                override = self.config.severity_overrides.get(rule.name)
-                if override is not None:
-                    finding.severity = override
-                if not self.config.suppressed(finding):
-                    kept.append(finding)
-            report.findings.extend(kept)
-            report.rule_stats[rule.name] = RuleStats(
-                rule=rule.name,
-                hits=len(kept),
-                elapsed=time.perf_counter() - rule_started,
-            )
+        with get_tracer().span("lint", design=name) as span:
+            for rule in self.rules:
+                if not self.config.enabled(rule.name):
+                    continue
+                rule_started = time.perf_counter()
+                # A rule that needs structure a broken netlist cannot provide
+                # (e.g. a topological order when a read net is undriven) fails
+                # alone; the hygiene rules that diagnose the breakage still
+                # run, so a broken design gets a report instead of a traceback.
+                try:
+                    produced = rule.run(ctx)
+                except ReproError as exc:
+                    produced = [
+                        LintFinding(
+                            rule=rule.name,
+                            severity=ERROR,
+                            message="rule could not run on this netlist: "
+                            "{}".format(exc),
+                            design=name,
+                            evidence={"crashed": type(exc).__name__},
+                        )
+                    ]
+                kept = []
+                for finding in produced:
+                    override = self.config.severity_overrides.get(rule.name)
+                    if override is not None:
+                        finding.severity = override
+                    if not self.config.suppressed(finding):
+                        kept.append(finding)
+                report.findings.extend(kept)
+                report.rule_stats[rule.name] = RuleStats(
+                    rule=rule.name,
+                    hits=len(kept),
+                    elapsed=time.perf_counter() - rule_started,
+                )
+            span["findings"] = len(report.findings)
         try:
             report.stats = analysis.stats
         except ReproError:

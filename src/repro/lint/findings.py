@@ -10,36 +10,20 @@ scores the detector uses to order its property checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-# Severity ladder. ``error`` marks structural brokenness (a netlist that
-# downstream tools cannot trust); ``suspicious`` marks Trojan-shaped
-# structure; ``warn``/``info`` are advisory.
-INFO = "info"
-WARN = "warn"
-SUSPICIOUS = "suspicious"
-ERROR = "error"
-
-SEVERITIES = (INFO, WARN, SUSPICIOUS, ERROR)
-SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
-
-# Contribution of one finding to its register's priority score. Trojan-
-# shaped structure dominates; structural errors still outrank advisories
-# (a register whose logic is broken deserves early scrutiny).
-SEVERITY_WEIGHT = {INFO: 1, WARN: 4, SUSPICIOUS: 16, ERROR: 8}
-
-
-def severity_rank(severity):
-    """Numeric rank of a severity name (higher = more severe)."""
-    try:
-        return SEVERITY_RANK[severity]
-    except KeyError:
-        raise ValueError(
-            "unknown severity {!r}; expected one of {}".format(
-                severity, ", ".join(SEVERITIES)
-            )
-        ) from None
+# the severity ladder is shared by every screen; re-exported here
+from repro.screens import (  # noqa: F401
+    ERROR,
+    INFO,
+    SEVERITIES,
+    SEVERITY_RANK,
+    SEVERITY_WEIGHT,
+    SUSPICIOUS,
+    WARN,
+    ScreenReport,
+    severity_rank,
+)
 
 
 @dataclass
@@ -106,7 +90,7 @@ class RuleStats:
 
 
 @dataclass
-class LintReport:
+class LintReport(ScreenReport):
     """All lint findings for one design."""
 
     design: str
@@ -115,11 +99,7 @@ class LintReport:
     elapsed: float = 0.0
     stats: object = None  # NetlistStats of the linted design
 
-    # ------------------------------------------------------------- queries
-
-    def findings_for(self, register):
-        """Findings implicating one register."""
-        return [f for f in self.findings if f.register == register]
+    screen = "lint"
 
     def by_severity(self, minimum=INFO):
         floor = severity_rank(minimum)
@@ -128,51 +108,12 @@ class LintReport:
         ]
 
     @property
-    def max_severity(self):
-        if not self.findings:
-            return None
-        return max(self.findings, key=lambda f: severity_rank(f.severity)).severity
-
-    @property
-    def severity_counts(self):
-        counts = {name: 0 for name in SEVERITIES}
-        for finding in self.findings:
-            counts[finding.severity] += 1
-        return counts
-
-    @property
     def rule_hits(self):
-        """Per-rule hit counts (every registered rule, zero included)."""
+        """Per-rule hit counts (every enabled rule, zero included)."""
         return {rule: st.hits for rule, st in self.rule_stats.items()}
 
-    def register_scores(self):
-        """Priority score per implicated register (higher = audit first)."""
-        scores = {}
-        for finding in self.findings:
-            if finding.register is None:
-                continue
-            scores[finding.register] = (
-                scores.get(finding.register, 0)
-                + SEVERITY_WEIGHT[finding.severity]
-            )
-        return scores
-
-    def prioritize(self, registers):
-        """Order ``registers`` most-suspicious first (stable for ties).
-
-        This is the ordering :class:`~repro.core.detector.TrojanDetector`
-        applies to Algorithm 1's outer loop under ``--lint-prioritize``:
-        the supervised runner's wall-clock/retry budget goes to the
-        registers the static pass implicated before the clean-looking
-        majority.
-        """
-        scores = self.register_scores()
-        order = {name: index for index, name in enumerate(registers)}
-        return sorted(
-            registers, key=lambda name: (-scores.get(name, 0), order[name])
-        )
-
-    # ------------------------------------------------------- serialization
+    def bench_figures(self):
+        return {"rule_hits": self.rule_hits, "max_severity": self.max_severity}
 
     def to_dict(self):
         data = {
@@ -195,39 +136,14 @@ class LintReport:
             }
         return data
 
-    def to_json(self, indent=1):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     def summary(self):
-        """Human-readable multi-line report."""
-        counts = self.severity_counts
-        lines = [
-            "lint {!r}: {} finding{} ({}) in {:.2f}s".format(
-                self.design,
-                len(self.findings),
-                "" if len(self.findings) == 1 else "s",
-                ", ".join(
-                    "{} {}".format(counts[name], name)
-                    for name in reversed(SEVERITIES)
-                    if counts[name]
-                )
-                or "clean",
-                self.elapsed,
-            )
-        ]
-        for finding in sorted(
-            self.findings,
-            key=lambda f: -severity_rank(f.severity),
-        ):
-            lines.append("  {}".format(finding))
-        ranked = self.prioritize(sorted(self.register_scores()))
+        """Human-readable multi-line report, ending in the priority order
+        :func:`~repro.core.detector.prioritize_registers` would audit."""
+        lines = [super().summary()]
+        scores = self.register_scores()
+        ranked = self.prioritize(sorted(scores))
         if ranked:
-            lines.append(
-                "  priority: {}".format(
-                    ", ".join(
-                        "{} ({})".format(name, self.register_scores()[name])
-                        for name in ranked
-                    )
-                )
-            )
+            lines.append("  priority: {}".format(", ".join(
+                "{} ({})".format(name, scores[name]) for name in ranked
+            )))
         return "\n".join(lines)

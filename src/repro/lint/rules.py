@@ -44,6 +44,14 @@ def all_rules():
     return [cls() for cls in RULE_REGISTRY.values()]
 
 
+def rule_table():
+    """Every registered rule as ``name -> (severity, description)``."""
+    return {
+        name: (cls.severity, cls.description)
+        for name, cls in RULE_REGISTRY.items()
+    }
+
+
 class RuleContext:
     """What a rule sees: the analysis, the spec, and the config."""
 

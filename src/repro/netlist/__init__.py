@@ -48,7 +48,6 @@ __all__ = [
     "validate",
 ]
 
-from repro.netlist.equiv import EquivResult, check_equivalence  # noqa: E402
 from repro.netlist.optimize import OptimizeStats, optimize  # noqa: E402
 
 __all__ += [
@@ -57,3 +56,15 @@ __all__ += [
     "OptimizeStats",
     "optimize",
 ]
+
+
+def __getattr__(name):
+    # equiv needs the SAT layer, whose Tseitin encoder imports this
+    # package: loading it on first use keeps `import repro.sat` acyclic
+    if name in ("EquivResult", "check_equivalence"):
+        from repro.netlist import equiv
+
+        return getattr(equiv, name)
+    raise AttributeError(
+        "module {!r} has no attribute {!r}".format(__name__, name)
+    )

@@ -1,11 +1,11 @@
 """Shared report serialization (SARIF) for the static modalities.
 
-Both static screens — :mod:`repro.lint` and :mod:`repro.ift` — emit
-SARIF 2.1.0 for code-scanning UIs. The writer lives here so each
-modality only describes its *tool* (driver name, rule registry) and the
-log assembly, level mapping and logical-location encoding stay in one
-place; :func:`merged_log` stitches the two into a single multi-run
-document.
+Every screen — :mod:`repro.lint`, :mod:`repro.ift` and
+:mod:`repro.diff` — emits SARIF 2.1.0 for code-scanning UIs. The writer
+lives here so a screen only describes its *tool* (driver name, rule
+table, run properties) and the log assembly, level mapping and
+logical-location encoding stay in one place; :func:`merged_log`
+stitches several screens' runs into a single multi-run document.
 """
 
 from repro.report.sarif import (
@@ -16,6 +16,7 @@ from repro.report.sarif import (
     make_log,
     make_run,
     merged_log,
+    screen_run,
     severity_level,
     write_log,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "make_log",
     "make_run",
     "merged_log",
+    "screen_run",
     "severity_level",
     "write_log",
 ]

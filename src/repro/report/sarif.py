@@ -1,4 +1,4 @@
-"""Generic SARIF 2.1.0 building blocks shared by lint and IFT.
+"""Generic SARIF 2.1.0 building blocks shared by every screen.
 
 SARIF (Static Analysis Results Interchange Format) is what code-scanning
 UIs ingest. Gate-level designs have no source files, so findings carry
@@ -10,9 +10,10 @@ its driver metadata and findings (anything with the
 :class:`~repro.lint.findings.LintFinding` field shape — ``rule``,
 ``severity``, ``message``, ``design``, ``register``, ``net_names``,
 ``evidence``) and gets back spec-shaped ``run``/``result`` dicts. One
-modality = one ``run``; :func:`merged_log` concatenates runs from
-several modalities into a single multi-run log, which is how
-``repro ift`` emits lint + IFT evidence as one scan artifact.
+report = one ``run`` (:func:`screen_run`); :func:`merged_log`
+concatenates runs from several screens into a single multi-run log,
+which is how ``repro ift`` emits lint + IFT evidence as one scan
+artifact (see :func:`repro.screens.merged_sarif`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Sequence
 
-from repro.lint.findings import ERROR, INFO, SUSPICIOUS, WARN
+from repro.screens import ERROR, INFO, SUSPICIOUS, WARN
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -116,6 +117,19 @@ def make_run(
         ],
         "properties": dict(properties),
     }
+
+
+def screen_run(screen: Any, report: Any) -> dict[str, Any]:
+    """One ``run`` for one screen report: driver ``repro-<screen>``
+    with the screen's rule table, and the report's run properties."""
+    rules = [
+        driver_rule(rule_id, description, severity)
+        for rule_id, (severity, description) in screen.rules.items()
+    ]
+    return make_run(
+        "repro-" + screen.name, rules, report.findings,
+        report.sarif_properties(),
+    )
 
 
 def make_log(runs: Sequence[dict[str, Any]]) -> dict[str, Any]:

@@ -26,6 +26,7 @@ from pathlib import Path
 from repro.bmc.witness import Witness
 from repro.errors import CheckpointError, CheckpointWriteError
 from repro.runner.outcome import CheckOutcome
+from repro.screens import SCREENS
 
 FORMAT_VERSION = 1
 
@@ -106,7 +107,7 @@ def result_from_dict(data):
 
 def finding_to_dict(finding):
     """Serialize one completed :class:`RegisterFinding`."""
-    return {
+    data = {
         "register": finding.register,
         "pseudo_criticals": [list(pair) for pair in finding.pseudo_criticals],
         "corruption": result_to_dict(finding.corruption),
@@ -121,16 +122,12 @@ def finding_to_dict(finding):
             name: outcome.to_dict()
             for name, outcome in finding.check_outcomes.items()
         },
-        "lint_evidence": [
-            dict(entry) for entry in getattr(finding, "lint_evidence", [])
-        ],
-        "ift_evidence": [
-            dict(entry) for entry in getattr(finding, "ift_evidence", [])
-        ],
-        "diff_evidence": [
-            dict(entry) for entry in getattr(finding, "diff_evidence", [])
-        ],
     }
+    for screen in SCREENS:
+        data[screen.evidence] = [
+            dict(entry) for entry in getattr(finding, screen.evidence, [])
+        ]
+    return data
 
 
 def finding_from_dict(data):
@@ -155,15 +152,10 @@ def finding_from_dict(data):
         name: CheckOutcome.from_dict(entry)
         for name, entry in data.get("check_outcomes", {}).items()
     }
-    finding.lint_evidence = [
-        dict(entry) for entry in data.get("lint_evidence", [])
-    ]
-    finding.ift_evidence = [
-        dict(entry) for entry in data.get("ift_evidence", [])
-    ]
-    finding.diff_evidence = [
-        dict(entry) for entry in data.get("diff_evidence", [])
-    ]
+    for screen in SCREENS:
+        setattr(finding, screen.evidence, [
+            dict(entry) for entry in data.get(screen.evidence, [])
+        ])
     finding.restored = True
     return finding
 

@@ -64,6 +64,7 @@ from repro.runner.policy import CRASHED, OK, RetryPolicy
 from repro.runner.supervisor import PROCESS, absorb_message
 from repro.runner.tasks import GroupObjectiveTask
 from repro.sched.pool import PersistentWorkerPool
+from repro.screens import attach_evidence
 
 #: Node kinds (one per Algorithm 1 check family).
 TRACKING = "tracking"
@@ -636,9 +637,7 @@ class AuditScheduler:
             trojan_info=det.spec.trojan,
         )
         names = request.registers or list(det.spec.critical)
-        names = prioritize_registers(
-            names, det.lint_report, det.ift_report, det.diff_report
-        )
+        names = prioritize_registers(names, det.screen_reports)
         store = None
         if request.checkpoint is not None:
             store = (
@@ -661,9 +660,7 @@ class AuditScheduler:
                 engine=det.engine,
                 max_cycles=det.max_cycles,
             )
-        scores = fused_register_scores(
-            det.lint_report, det.ift_report, det.diff_report
-        )
+        scores = fused_register_scores(det.screen_reports)
         for reg_index, register in enumerate(names):
             if register in report.findings:
                 continue  # restored from the checkpoint
@@ -862,21 +859,7 @@ class AuditScheduler:
             outcomes.append((bypass.name, bypass.outcome))
 
         finding = RegisterFinding(register=reg.register)
-        if det.lint_report is not None:
-            finding.lint_evidence = [
-                f.to_dict()
-                for f in det.lint_report.findings_for(reg.register)
-            ]
-        if det.ift_report is not None:
-            finding.ift_evidence = [
-                f.to_dict()
-                for f in det.ift_report.findings_for(reg.register)
-            ]
-        if det.diff_report is not None:
-            finding.diff_evidence = [
-                f.to_dict()
-                for f in det.diff_report.findings_for(reg.register)
-            ]
+        attach_evidence(finding, det.screen_reports)
         finding.pseudo_criticals = list(promoted)
         for name, outcome in outcomes:
             finding.check_outcomes[name] = outcome

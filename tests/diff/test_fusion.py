@@ -32,7 +32,11 @@ def run_audit(netlist, spec, diff_report, jobs=1, **kwargs):
     detector = TrojanDetector(
         netlist,
         spec,
-        config=AuditConfig(jobs=jobs, diff_report=diff_report, **kwargs),
+        config=AuditConfig(
+            jobs=jobs,
+            screen_reports=() if diff_report is None else (diff_report,),
+            **kwargs,
+        ),
         runner=CheckRunner.configure(check_timeout=120),
     )
     return detector.run()
@@ -103,8 +107,7 @@ class TestDifferentialSuspect:
             config=AuditConfig(
                 max_cycles=2,
                 time_budget=60,
-                ift_report=ift_report,
-                diff_report=diff_report,
+                screen_reports=(ift_report, diff_report),
             ),
             runner=CheckRunner.configure(check_timeout=120),
         )
@@ -145,17 +148,17 @@ class TestFusedPrioritization:
     def test_diff_scores_pull_flagged_registers_forward(self):
         _netlist, _spec, diff_report = secret_setup()
         order = prioritize_registers(
-            ["alpha", "secret", "zulu"], None, None, diff_report
+            ["alpha", "secret", "zulu"], [diff_report]
         )
         assert order[0] == "secret"
         assert order[1:] == ["alpha", "zulu"]  # ties keep input order
 
     def test_scores_sum_across_all_three_modalities(self):
         _netlist, _spec, diff_report = secret_setup()
-        diff_only = fused_register_scores(diff_report=diff_report)
+        diff_only = fused_register_scores([diff_report])
         assert diff_only["secret"] > 0
         all_three = fused_register_scores(
-            diff_report, diff_report, diff_report
+            [diff_report, diff_report, diff_report]
         )
         assert all_three["secret"] == 3 * diff_only["secret"]
 

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.frontend import build_builtin as build_design
-from repro.diff import analyze_design, merged_sarif, to_sarif, write_sarif
+from repro.diff import analyze_design
 from repro.ift import analyze_design as ift_analyze
 from repro.lint import lint_design
+from repro.screens import merged_sarif, write_sarif
 
 from tests.lint.test_sarif import SARIF_21_SUBSET
 
@@ -24,7 +25,7 @@ def reports_for(names):
 
 def test_diff_only_log_structure():
     diff_reports, _ift, _lint = reports_for(["risc-t100"])
-    log = to_sarif(diff_reports)
+    log = merged_sarif(diff_reports)
     assert log["version"] == "2.1.0"
     (run,) = log["runs"]
     assert run["tool"]["driver"]["name"] == "repro-diff"
@@ -39,7 +40,7 @@ def test_diff_only_log_structure():
 def test_merged_log_orders_all_three_modalities():
     names = ["risc", "risc-t100"]
     diff_reports, ift_reports, lint_reports = reports_for(names)
-    log = merged_sarif(diff_reports, ift_reports, lint_reports)
+    log = merged_sarif(diff_reports + ift_reports + lint_reports)
     drivers = [run["tool"]["driver"]["name"] for run in log["runs"]]
     assert drivers == [
         "repro-lint", "repro-lint",
@@ -56,14 +57,14 @@ def test_merged_log_validates_against_embedded_2_1_0_schema():
         ["risc", "risc-t100"]
     )
     jsonschema.validate(
-        merged_sarif(diff_reports, ift_reports, lint_reports),
+        merged_sarif(diff_reports + ift_reports + lint_reports),
         SARIF_21_SUBSET,
     )
 
 
 def test_suspicious_findings_map_to_error_level():
     diff_reports, _ift, _lint = reports_for(["risc-t100"])
-    log = to_sarif(diff_reports)
+    log = merged_sarif(diff_reports)
     by_rule = {
         r["ruleId"]: r["level"] for r in log["runs"][0]["results"]
     }
@@ -76,7 +77,7 @@ def test_vcd_witness_stays_out_of_sarif_but_coordinates_stay():
     assert any(
         "witness_vcd" in f.evidence for f in diff_reports[0].findings
     )
-    log = to_sarif(diff_reports)
+    log = merged_sarif(diff_reports)
     for result in log["runs"][0]["results"]:
         evidence = result["properties"]["evidence"]
         assert "witness_vcd" not in evidence
@@ -86,7 +87,7 @@ def test_vcd_witness_stays_out_of_sarif_but_coordinates_stay():
 
 def test_run_properties_carry_screen_accounting():
     diff_reports, _ift, _lint = reports_for(["risc-t100"])
-    log = to_sarif(diff_reports)
+    log = merged_sarif(diff_reports)
     props = log["runs"][0]["properties"]
     assert set(props["ruleHits"]) == {
         "diff-divergence",
@@ -101,8 +102,8 @@ def test_write_sarif_emits_stable_bytes(tmp_path):
     diff_reports, ift_reports, lint_reports = reports_for(["risc-t100"])
     first = tmp_path / "a.sarif"
     second = tmp_path / "b.sarif"
-    write_sarif(first, diff_reports, ift_reports, lint_reports)
-    write_sarif(second, diff_reports, ift_reports, lint_reports)
+    write_sarif(first, diff_reports + ift_reports + lint_reports)
+    write_sarif(second, diff_reports + ift_reports + lint_reports)
     assert first.read_bytes() == second.read_bytes()
     log = json.loads(first.read_text())
     assert len(log["runs"]) == 3

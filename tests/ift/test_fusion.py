@@ -31,7 +31,11 @@ def run_audit(netlist, spec, ift_report, jobs=1, **kwargs):
     detector = TrojanDetector(
         netlist,
         spec,
-        config=AuditConfig(jobs=jobs, ift_report=ift_report, **kwargs),
+        config=AuditConfig(
+            jobs=jobs,
+            screen_reports=() if ift_report is None else (ift_report,),
+            **kwargs,
+        ),
         runner=CheckRunner.configure(check_timeout=120),
     )
     return detector.run()
@@ -124,16 +128,16 @@ class TestFusedPrioritization:
     def test_ift_scores_pull_flagged_registers_forward(self):
         _netlist, _spec, ift_report = secret_setup()
         order = prioritize_registers(
-            ["alpha", "secret", "zulu"], None, ift_report
+            ["alpha", "secret", "zulu"], [ift_report]
         )
         assert order[0] == "secret"
         assert order[1:] == ["alpha", "zulu"]  # ties keep input order
 
     def test_scores_sum_across_modalities(self):
         _netlist, _spec, ift_report = secret_setup()
-        ift_only = fused_register_scores(None, ift_report)
+        ift_only = fused_register_scores([ift_report])
         assert ift_only["secret"] > 0
-        both = fused_register_scores(ift_report, ift_report)
+        both = fused_register_scores([ift_report, ift_report])
         assert both["secret"] == 2 * ift_only["secret"]
 
 

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.frontend import build_builtin as build_design
-from repro.ift import analyze_design, merged_sarif, to_sarif, write_sarif
+from repro.ift import analyze_design
 from repro.lint import lint_design
+from repro.screens import merged_sarif, write_sarif
 
 from tests.lint.test_sarif import SARIF_21_SUBSET
 
@@ -22,7 +23,7 @@ def reports_for(names):
 
 def test_ift_only_log_structure():
     ift_reports, _lint = reports_for(["mc8051-t800"])
-    log = to_sarif(ift_reports)
+    log = merged_sarif(ift_reports)
     assert log["version"] == "2.1.0"
     (run,) = log["runs"]
     assert run["tool"]["driver"]["name"] == "repro-ift"
@@ -36,7 +37,7 @@ def test_ift_only_log_structure():
 def test_merged_log_interleaves_both_modalities():
     names = ["router", "mc8051-t800"]
     ift_reports, lint_reports = reports_for(names)
-    log = merged_sarif(ift_reports, lint_reports)
+    log = merged_sarif(ift_reports + lint_reports)
     drivers = [run["tool"]["driver"]["name"] for run in log["runs"]]
     assert drivers == ["repro-lint", "repro-lint", "repro-ift", "repro-ift"]
     designs = [run["properties"]["design"] for run in log["runs"]]
@@ -47,13 +48,13 @@ def test_merged_log_validates_against_embedded_2_1_0_schema():
     jsonschema = pytest.importorskip("jsonschema")
     ift_reports, lint_reports = reports_for(["risc", "risc-t100"])
     jsonschema.validate(
-        merged_sarif(ift_reports, lint_reports), SARIF_21_SUBSET
+        merged_sarif(ift_reports + lint_reports), SARIF_21_SUBSET
     )
 
 
 def test_suspicious_findings_map_to_error_level():
     ift_reports, _lint = reports_for(["aes-t800"])
-    log = to_sarif(ift_reports)
+    log = merged_sarif(ift_reports)
     by_rule = {
         r["ruleId"]: r["level"] for r in log["runs"][0]["results"]
     }
@@ -62,7 +63,7 @@ def test_suspicious_findings_map_to_error_level():
 
 def test_run_properties_carry_engine_accounting():
     ift_reports, _lint = reports_for(["risc-t100"])
-    log = to_sarif(ift_reports)
+    log = merged_sarif(ift_reports)
     props = log["runs"][0]["properties"]
     assert set(props["ruleHits"]) == {
         "taint-reaches-critical",
@@ -77,8 +78,8 @@ def test_write_sarif_emits_stable_bytes(tmp_path):
     ift_reports, lint_reports = reports_for(["mc8051", "mc8051-t800"])
     first = tmp_path / "a.sarif"
     second = tmp_path / "b.sarif"
-    write_sarif(first, ift_reports, lint_reports)
-    write_sarif(second, ift_reports, lint_reports)
+    write_sarif(first, ift_reports + lint_reports)
+    write_sarif(second, ift_reports + lint_reports)
     assert first.read_bytes() == second.read_bytes()
     log = json.loads(first.read_text())
     assert len(log["runs"]) == 4

@@ -1,11 +1,12 @@
 """Lint ↔ Algorithm 1 integration: ordering, evidence, checkpoints, bench."""
 
-from repro.bench import LintRow, lint_run
+from repro.bench import ScreenRow, screen_run
 from repro.core import TrojanDetector
 from repro.lint import LintFinding, LintReport, lint_design
 from repro.properties.valid_ways import DesignSpec
 from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import finding_from_dict, finding_to_dict
+from repro.screens import by_name
 
 from tests.conftest import (
     build_dual_register_design,
@@ -46,7 +47,7 @@ class TestDetectorOrdering:
             netlist,
             dual_spec(),
             max_cycles=4,
-            lint_report=report_flagging("regb"),
+            screen_reports=(report_flagging("regb"),),
         )
         report = detector.run()
         assert list(report.findings) == ["regb", "rega"]
@@ -63,7 +64,7 @@ class TestDetectorOrdering:
             netlist,
             dual_spec(),
             max_cycles=4,
-            lint_report=report_flagging("regb"),
+            screen_reports=(report_flagging("regb"),),
         )
         report = detector.run(registers=["rega", "regb"])
         assert list(report.findings) == ["regb", "rega"]
@@ -76,7 +77,7 @@ class TestLintEvidence:
             netlist,
             dual_spec(),
             max_cycles=4,
-            lint_report=report_flagging("regb"),
+            screen_reports=(report_flagging("regb"),),
         )
         report = detector.run()
         assert report.findings["regb"].lint_flagged
@@ -93,7 +94,7 @@ class TestLintEvidence:
         )
         lint = lint_design(netlist, spec)
         detector = TrojanDetector(
-            netlist, spec, max_cycles=10, lint_report=lint
+            netlist, spec, max_cycles=10, screen_reports=(lint,)
         )
         report = detector.run()
         finding = report.findings["secret"]
@@ -108,7 +109,7 @@ class TestLintEvidence:
             netlist,
             dual_spec(),
             max_cycles=4,
-            lint_report=report_flagging("regb"),
+            screen_reports=(report_flagging("regb"),),
         )
         finding = detector.run().findings["regb"]
         restored = finding_from_dict(finding_to_dict(finding))
@@ -120,11 +121,11 @@ class TestLintEvidence:
         path = tmp_path / "ckpt.json"
         lint = report_flagging("regb")
         first = TrojanDetector(
-            netlist, dual_spec(), max_cycles=4, lint_report=lint
+            netlist, dual_spec(), max_cycles=4, screen_reports=(lint,)
         )
         first.run(checkpoint=AuditCheckpoint(path))
         second = TrojanDetector(
-            netlist, dual_spec(), max_cycles=4, lint_report=lint
+            netlist, dual_spec(), max_cycles=4, screen_reports=(lint,)
         )
         report = second.run(checkpoint=AuditCheckpoint(path))
         assert report.findings["regb"].restored
@@ -137,20 +138,20 @@ class TestBenchHarness:
         spec = DesignSpec(
             name="secret", critical={"secret": secret_spec()}
         )
-        row = lint_run("secret-trojan", netlist, spec)
-        assert isinstance(row, LintRow)
+        row = screen_run(by_name("lint"), "secret-trojan", netlist, spec)
+        assert isinstance(row, ScreenRow)
         assert row.label == "secret-trojan"
         assert row.elapsed > 0
         assert row.flagged
-        assert row.rule_hits["undocumented-write-port"] == 1
+        assert row.figures["rule_hits"]["undocumented-write-port"] == 1
         assert row.flagged_registers["secret"] > 0
-        assert row.max_severity == "suspicious"
+        assert row.figures["max_severity"] == "suspicious"
 
     def test_lint_run_on_clean_design_reports_no_flags(self):
         netlist = build_secret_design(trojan=False)
         spec = DesignSpec(
             name="secret", critical={"secret": secret_spec()}
         )
-        row = lint_run("secret-clean", netlist, spec)
+        row = screen_run(by_name("lint"), "secret-clean", netlist, spec)
         assert not row.flagged
-        assert row.rule_hits["undocumented-write-port"] == 0
+        assert row.figures["rule_hits"]["undocumented-write-port"] == 0

@@ -423,12 +423,54 @@ class TestLintMultiDesign:
         payload = json.loads(target.read_text())
         assert set(payload) == {"router", "mc8051-t800"}
 
-    def test_lint_sarif_needs_single_design(self):
-        with pytest.raises(SystemExit, match="single --design"):
-            run_cli([
-                "lint", "--design", "router", "--design", "mc8051-t800",
-                "--sarif", "out.sarif",
-            ])
+    def test_lint_sarif_writes_one_run_per_design(self, tmp_path):
+        import json
+
+        target = tmp_path / "lint.sarif"
+        designs = ["router", "mc8051-t800", "risc-t100"]
+        code, _text = run_cli([
+            "lint", *[a for d in designs for a in ("--design", d)],
+            "--sarif", str(target),
+        ])
+        assert code == 1
+        runs = json.loads(target.read_text())["runs"]
+        assert [r["tool"]["driver"]["name"] for r in runs] == (
+            ["repro-lint"] * len(designs)
+        )
+        assert [r["properties"]["design"] for r in runs] == designs
+
+    def test_lint_defaults_to_every_design(self):
+        from repro.frontend import design_names
+
+        code, text = run_cli(["lint", "--fail-on", "error"])
+        assert code == 0
+        for name in design_names():
+            assert "lint {!r}:".format(name) in text
+
+
+class TestScreenTraceParity:
+    """Serial and forked screen runs write the same spans: exactly one
+    root ``<screen>`` span per design."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("screen", ["lint", "ift", "diff"])
+    def test_one_screen_span_per_design(self, tmp_path, screen, jobs):
+        import json
+
+        trace = tmp_path / "screen.jsonl"
+        designs = ["router", "mc8051-t800"]
+        run_cli([
+            screen, *[a for d in designs for a in ("--design", d)],
+            "--jobs", jobs, "--trace", str(trace),
+        ])
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        spans = [
+            e for e in events if e["ev"] == "begin" and e["name"] == screen
+        ]
+        assert sorted(e["attrs"]["design"] for e in spans) == sorted(designs)
+        assert all(e["parent"] is None for e in spans)
+        ends = {e["id"] for e in events if e["ev"] == "end"}
+        assert {e["id"] for e in spans} <= ends
 
 
 class TestDiffCli:
