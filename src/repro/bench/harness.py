@@ -291,8 +291,8 @@ def audit_sweep(designs, jobs=None, max_cycles=16, engine="bmc",
     parallelism, not a pool per design — so a sweep's wall clock is
     bounded by total work over N workers rather than by the slowest
     design times the design count.  Without ``jobs`` the designs run
-    serially through the classic detector loop (the baseline the
-    speedup acceptance criterion compares against).
+    one after another, each through the scheduler's inline executor
+    (the baseline the speedup acceptance criterion compares against).
 
     Each of ``screens`` (:class:`~repro.screens.Screen` records) runs
     first per design: its report is fused into that design's audit

@@ -22,7 +22,8 @@ Commands
 
     ``--jobs N`` runs the audit's independent property checks on a
     persistent pool of N worker processes (see README "Parallel
-    audits"); the report is byte-identical to the serial one::
+    audits"); the report is byte-identical to the one without
+    ``--jobs``, where the checks run one at a time in this process::
 
         python -m repro audit --design mc8051-t800 --jobs 4
 

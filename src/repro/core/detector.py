@@ -10,47 +10,36 @@ The paper's complete flow (Section 4.3)::
         if CheckBypass(D, R, V, T):         -> "R is bypassed", witness
     "No data-corruption Trojan found for T clock cycles"
 
-:class:`TrojanDetector` implements exactly that, on either formal backend.
-Every counterexample is replayed on the logic simulator before it is
-reported (the ``witness_confirmed`` flag), so a detection never rests on
-the solver alone.
+:class:`TrojanDetector` configures that flow, on either formal backend,
+and defines its checks: the task builders below fix each check's
+content and therefore its cache fingerprint. The flow itself is run by
+:class:`~repro.sched.AuditScheduler`, the one orchestrator, inline or on
+a worker pool. Every counterexample is replayed on the logic simulator
+before it is reported (the ``witness_confirmed`` flag), so a detection
+never rests on the solver alone.
 
-Every property check is routed through a supervised
-:class:`~repro.runner.supervisor.CheckRunner`: a solver blow-up, an
-engine crash or a :class:`~repro.errors.ResourceBudgetExceeded` becomes
-a structured partial verdict on the finding (the paper's "largest bound
-reached" degradation, Sections 3.2-3.3) instead of aborting the audit,
-and multi-register audits can checkpoint completed findings to disk and
+Every property check is supervised (:mod:`repro.runner`): a solver
+blow-up, an engine crash or a
+:class:`~repro.errors.ResourceBudgetExceeded` becomes a structured
+partial verdict on the finding (the paper's "largest bound reached"
+degradation, Sections 3.2-3.3) instead of aborting the audit, and
+multi-register audits can checkpoint completed findings to disk and
 resume after an interruption.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, fields, replace
 
-from repro.bmc.witness import confirms_violation
-from repro.core.registers import pseudo_critical_candidates
-from repro.errors import CheckpointWriteError, ReproError
-from repro.obs.tracer import Tracer, get_tracer, tracing
-from repro.core.report import DetectionReport, RegisterFinding
+from repro.errors import ReproError
+from repro.obs.tracer import Tracer, tracing
 from repro.properties.monitors import (
     build_corruption_monitor,
     build_tracking_monitor,
 )
 from repro.properties.valid_ways import RegisterSpec
-from repro.runner import (
-    AuditCheckpoint,
-    BypassTask,
-    CheckOutcome,
-    CheckRunner,
-    ObjectiveTask,
-)
-from repro.runner.checkpoint import (
-    warn_checkpoint_lost as _warn_checkpoint_lost,
-)
-from repro.screens import attach_evidence
+from repro.runner import BypassTask, CheckRunner, ObjectiveTask
 
 
 @dataclass(frozen=True)
@@ -64,14 +53,15 @@ class AuditConfig:
     ``AuditConfig`` under the hood) but emit a ``DeprecationWarning``.
 
     Fields mirror the historical arguments exactly; see
-    :class:`TrojanDetector` for their semantics. The one new field is
-    ``jobs``: ``None`` (default) keeps the serial in-process audit loop,
-    while any integer ``N >= 1`` routes the audit through
-    :class:`~repro.sched.AuditScheduler` on a persistent pool of ``N``
-    worker processes (``jobs=1`` is the serial *schedule* on pool
-    infrastructure — useful for byte-comparing parallel runs against a
-    one-worker baseline, since both execute checks in worker
-    processes).
+    :class:`TrojanDetector` for their semantics. ``jobs`` picks the
+    executor of :class:`~repro.sched.AuditScheduler`, which runs every
+    audit: ``None`` (default) runs the checks one at a time, in
+    Algorithm 1's order, through the detector's runner; any integer
+    ``N >= 1`` runs them on a persistent pool of ``N`` worker processes
+    (``jobs=1`` is the one-at-a-time schedule on pool infrastructure —
+    useful for byte-comparing parallel runs against a one-worker
+    baseline, since both execute checks in worker processes). The
+    report is the same either way.
     """
 
     max_cycles: int = 40
@@ -86,10 +76,11 @@ class AuditConfig:
     cache_dir: str | None = None
     share_cones: bool = False
     trace: object = None
+    #: None: the inline executor; N >= 1: a pool of N worker processes.
     jobs: int | None = None
     #: Keep one solver+unrolling alive per critical register across its
-    #: corruption / tracking / bypass-adjacent checks (serial BMC only;
-    #: worker pools cannot share a live solver across processes).
+    #: tracking, corruption and shadow checks (BMC, inline executor and
+    #: inline runner only; worker processes cannot share a live solver).
     #: Verdicts, witnesses and cache fingerprints are identical with or
     #: without sessions — this trades repeated cone re-encoding for
     #: incremental solver reuse, nothing more.
@@ -98,7 +89,7 @@ class AuditConfig:
     def __post_init__(self):
         if self.jobs is not None and self.jobs < 1:
             raise ReproError(
-                "jobs must be None (serial) or >= 1, got {}".format(
+                "jobs must be None (inline) or >= 1, got {}".format(
                     self.jobs
                 )
             )
@@ -126,9 +117,9 @@ def prioritize_registers(names, reports=()):
     """Order ``names`` most-suspicious-first (stable ties).
 
     The fused generalization of ``ScreenReport.prioritize``: with one
-    report it reduces to exactly that ordering. Used identically by the
-    serial detector loop and the parallel scheduler so both audit
-    registers in the same order.
+    report it reduces to exactly that ordering. The scheduler commits
+    registers in this order on either executor, and its inline executor
+    also audits them in it.
     """
     if not reports:
         return list(names)
@@ -137,28 +128,6 @@ def prioritize_registers(names, reports=()):
     return sorted(
         names, key=lambda name: (-scores.get(name, 0), order[name])
     )
-
-
-def grouped_check_outcome(name, result):
-    """Synthesize the :class:`CheckOutcome` for one member of a
-    shared-cone tracking group (grouped checks bypass the supervised
-    runner, so their outcomes are reconstructed from the engine result).
-    Used identically by the serial grouped path and the scheduler."""
-    outcome = CheckOutcome(
-        name=name,
-        status=(
-            "ok" if result.status in ("violated", "proved")
-            else "exhausted"
-        ),
-        result=result,
-        bound_reached=result.bound,
-        elapsed=result.elapsed,
-    )
-    if outcome.status != "ok":
-        outcome.error = "engine returned {!r} at bound {}".format(
-            result.status, result.bound
-        )
-    return outcome
 
 
 class TrojanDetector:
@@ -224,10 +193,12 @@ class TrojanDetector:
         Batch the Eq. (3) tracking checks of each critical register into
         shared-cone groups (BMC only): the candidates' monitors are
         stacked on one clone and served by one unrolling per group
-        (:class:`~repro.bmc.group.MultiObjectiveBmc`). Grouped checks
-        run inline — they bypass the supervised runner's process
-        isolation and the outcome cache, trading fault isolation for
-        not re-encoding the shared cone once per candidate.
+        (:class:`~repro.bmc.group.MultiObjectiveBmc`). Each group is one
+        check through the runner on either executor, so it gets the
+        runner's isolation, retries and fault injection; it does not
+        take part in the outcome cache. Grouping trades per-candidate
+        verdict caching for not re-encoding the shared cone once per
+        candidate.
     trace:
         Structured-telemetry sink for the audit: a path (a JSONL
         :class:`~repro.obs.tracer.Tracer` is created there and closed
@@ -294,8 +265,8 @@ class TrojanDetector:
 
     @property
     def scheduler_jobs(self):
-        """Worker-pool size for this audit, or ``None`` for the serial
-        loop. ``config.jobs`` wins; otherwise a pool-backed runner
+        """Worker-pool size for this audit, or ``None`` for the inline
+        executor. ``config.jobs`` wins; otherwise a pool-backed runner
         (``configure(workers=N)``, ``N >= 2``) implies its own size."""
         if self.jobs is not None:
             return self.jobs
@@ -312,168 +283,26 @@ class TrojanDetector:
         same design/engine/bound restores its findings instead of
         re-running them.
         """
+        # imported lazily: repro.sched imports this module for the
+        # shared task builders
+        from repro.sched.scheduler import AuditRequest, AuditScheduler
+
+        scheduler = AuditScheduler(
+            [AuditRequest(self, registers=registers, checkpoint=checkpoint)],
+            jobs=self.scheduler_jobs,
+        )
         if self.trace is None:
-            return self._run(registers, checkpoint, get_tracer())
+            return scheduler.run()[0]
         owned = not hasattr(self.trace, "span")
         tracer = Tracer(self.trace) if owned else self.trace
         try:
             with tracing(tracer):
-                return self._run(registers, checkpoint, tracer)
+                return scheduler.run()[0]
         finally:
             if owned:
                 tracer.close()
 
-    def _run(self, registers, checkpoint, tracer):
-        jobs = self.scheduler_jobs
-        if jobs:
-            # imported lazily: repro.sched imports this module for the
-            # shared task builders
-            from repro.sched.scheduler import AuditRequest, AuditScheduler
-
-            scheduler = AuditScheduler(
-                [AuditRequest(self, registers=registers,
-                              checkpoint=checkpoint)],
-                jobs=jobs,
-            )
-            return scheduler.run()[0]
-        start = time.perf_counter()
-        report = DetectionReport(
-            design=self.netlist.name,
-            engine=self.engine,
-            max_cycles=self.max_cycles,
-            trojan_info=self.spec.trojan,
-        )
-        audit_span = None
-        if tracer.enabled:
-            audit_span = tracer.begin(
-                "audit",
-                design=self.netlist.name,
-                engine=self.engine,
-                max_cycles=self.max_cycles,
-            )
-        try:
-            names = registers or list(self.spec.critical)
-            names = prioritize_registers(names, self.screen_reports)
-            store = None
-            if checkpoint is not None:
-                store = (
-                    checkpoint
-                    if isinstance(checkpoint, AuditCheckpoint)
-                    else AuditCheckpoint(checkpoint)
-                )
-                restored = store.begin(
-                    self.netlist.name, self.engine, self.max_cycles
-                )
-                for register in names:
-                    if register in restored:
-                        report.findings[register] = restored[register]
-            for register in names:
-                if register in report.findings:
-                    continue  # restored from the checkpoint
-                if self.stop_on_first and report.trojan_found:
-                    break
-                with tracer.span(
-                    "audit.register", register=register
-                ) as reg_extra:
-                    finding = self._audit_register(register)
-                    reg_extra.update(trojan_found=finding.trojan_found)
-                report.findings[register] = finding
-                if store is not None:
-                    try:
-                        store.save_finding(register, finding)
-                    except CheckpointWriteError as exc:
-                        # a full disk must not kill a half-done audit:
-                        # drop checkpointing, keep the verdicts coming
-                        store = None
-                        _warn_checkpoint_lost(exc, tracer)
-                if self.stop_on_first and finding.trojan_found:
-                    break
-            report.elapsed = time.perf_counter() - start
-            return report
-        finally:
-            if audit_span is not None:
-                tracer.end(
-                    audit_span,
-                    trojan_found=report.trojan_found,
-                    registers=len(report.findings),
-                )
-
-    # ------------------------------------------------------------ internals
-
-    def _register_session(self):
-        """A per-register :class:`SolverSession`, or ``None``.
-
-        Sessions only pay off where a live solver can actually be
-        reused: the serial in-process loop with the BMC engine and an
-        inline runner. Everywhere else (worker pools, process-isolated
-        runners, other engines) the hint would be dropped at the
-        process boundary anyway, so no session is built.
-        """
-        if (
-            not self.sessions
-            or self.engine != "bmc"
-            or self.scheduler_jobs is not None
-            or getattr(self.runner, "isolation", "inline") != "inline"
-        ):
-            return None
-        from repro.bmc.session import SolverSession
-
-        return SolverSession(
-            self.netlist.clone(), pinned_inputs=self.spec.pinned_inputs
-        )
-
-    def _audit_register(self, register):
-        reg_start = time.perf_counter()
-        spec = self.spec.spec_for(register)
-        session = self._register_session()
-        finding = RegisterFinding(register=register)
-        attach_evidence(finding, self.screen_reports)
-
-        if self.check_pseudo_critical:
-            finding.pseudo_criticals = self._find_pseudo_criticals(
-                spec, finding, session=session
-            )
-
-        finding.corruption = self._corruption_check(
-            spec, finding=finding, session=session
-        )
-        if finding.corruption.detected:
-            monitor = self._monitor_for(spec)
-            finding.witness_confirmed = confirms_violation(
-                monitor.netlist,
-                finding.corruption.witness,
-                monitor.violation_net,
-            )
-
-        # Corruption checks on promoted pseudo-critical registers: their
-        # update authorization mirrors the critical register's, but the
-        # documented *values* do not transfer (a tracking register may hold
-        # the bitwise complement), so these run non-functionally — and the
-        # valid-way window shifts by the copy's delay relative to the
-        # critical register (way_delay 2 for "after" copies, 0 for
-        # "before" ones).
-        if not (self.stop_on_first and finding.corruption.detected):
-            for name, direction in finding.pseudo_criticals:
-                # the shadow register's cone overlaps the critical
-                # register's heavily, so its checks ride the same session
-                result = self._corruption_check(
-                    self.shadow_spec(spec, name, direction),
-                    functional=False,
-                    way_delay=2 if direction == "after" else 0,
-                    finding=finding,
-                    session=session,
-                )
-                finding.pseudo_corruptions[name] = result
-                if self.stop_on_first and result.detected:
-                    break
-
-        if self.check_bypass and not (
-            self.stop_on_first and finding.trojan_found
-        ):
-            finding.bypass = self._bypass_check(spec, finding=finding)
-
-        finding.elapsed = time.perf_counter() - reg_start
-        return finding
+    # ------------------------------------------------------- task builders
 
     def _monitor_for(self, spec, functional=None, way_delay=1):
         if functional is None:
@@ -494,16 +323,9 @@ class TrojanDetector:
             observe_latency=spec.observe_latency,
         )
 
-    def _supervised(self, task, name, finding=None):
-        """Run one check under supervision, recording its outcome."""
-        outcome = self.runner.run(task, name=name)
-        if finding is not None:
-            finding.check_outcomes[name] = outcome
-        return outcome
-
-    # Task builders: the serial loop and the parallel scheduler build
-    # checks through the same code paths, so a check's content — and
-    # therefore its cache fingerprint — cannot depend on who ran it.
+    # Both executors build checks through these same code paths, so a
+    # check's content — and therefore its cache fingerprint — cannot
+    # depend on who ran it.
 
     def corruption_task(self, spec, functional=None, way_delay=1,
                         session=None):
@@ -588,7 +410,7 @@ class TrojanDetector:
     def tracking_group_builds(self, spec, candidates):
         """``(base, builds)`` for the shared-cone Eq. (3) sweep: one
         clone of the design carrying every candidate/direction tracking
-        monitor, and the builds in serial order."""
+        monitor, and the builds in check order."""
         base = self.netlist.clone()
         builds = []  # (candidate, direction, MonitorBuild)
         for candidate in candidates:
@@ -598,100 +420,3 @@ class TrojanDetector:
                     into=base,
                 )))
         return base, builds
-
-    def _corruption_check(self, spec, functional=None, way_delay=1,
-                          finding=None, session=None):
-        """Eq. (2) on one register spec; returns an engine-shaped result."""
-        task, name = self.corruption_task(
-            spec, functional, way_delay, session=session
-        )
-        return self._supervised(task, name, finding=finding).verdict
-
-    def check_corruption(self, spec, functional=None, way_delay=1):
-        """Eq. (2) on one register spec; returns the engine result."""
-        return self._corruption_check(spec, functional, way_delay)
-
-    def check_tracking(self, spec, candidate, direction, finding=None,
-                       session=None):
-        """Eq. (3) for one candidate/direction; returns the engine result."""
-        task, name = self.tracking_task(
-            spec, candidate, direction, session=session
-        )
-        return self._supervised(task, name, finding=finding).verdict
-
-    def _find_pseudo_criticals(self, spec, finding=None, session=None):
-        candidates = list(
-            pseudo_critical_candidates(self.netlist, self.spec, spec.register)
-        )
-        if self.share_cones and self.engine == "bmc" and candidates:
-            return self._find_pseudo_criticals_grouped(
-                spec, candidates, finding=finding
-            )
-        found = []
-        for candidate in candidates:
-            for direction in ("after", "before"):
-                result = self.check_tracking(
-                    spec, candidate, direction, finding=finding,
-                    session=session,
-                )
-                # "proved" = no valid sequence makes the candidate diverge
-                # from the critical register: it tracks, hence is
-                # pseudo-critical (for the checked bound).
-                if result.status == "proved":
-                    found.append((candidate, direction))
-                    break
-        return found
-
-    def _find_pseudo_criticals_grouped(self, spec, candidates, finding=None):
-        """Shared-cone variant of the Eq. (3) sweep (BMC only).
-
-        All candidate/direction tracking monitors for this critical
-        register are stacked on *one* clone of the design; objectives
-        whose cones overlap are served by a single
-        :class:`~repro.bmc.group.MultiObjectiveBmc` unrolling each. The
-        verdict semantics match the sequential path exactly — ``proved``
-        promotes, and ``"after"`` wins over ``"before"`` for the same
-        candidate. ``time_budget`` covers each *group*, not each
-        objective, and the grouped solves run inline (no process
-        isolation, no outcome cache).
-        """
-        from repro.bmc.group import MultiObjectiveBmc, group_objectives_by_cone
-
-        base, builds = self.tracking_group_builds(spec, candidates)
-        nets = [b.objective_net for _, _, b in builds]
-        names = [b.property_name for _, _, b in builds]
-        results = [None] * len(builds)
-        for group in group_objectives_by_cone(base, nets):
-            multi = MultiObjectiveBmc(
-                base,
-                [nets[i] for i in group],
-                property_names=[names[i] for i in group],
-                pinned_inputs=self.spec.pinned_inputs,
-            )
-            group_results = multi.check_all(
-                self.pseudo_critical_cycles, time_budget=self.time_budget
-            )
-            for i, result in zip(group, group_results):
-                results[i] = result
-        found = []
-        promoted = set()
-        for (candidate, direction, _build), result in zip(builds, results):
-            name = "tracking({}->{},{})".format(
-                spec.register, candidate, direction
-            )
-            if finding is not None:
-                finding.check_outcomes[name] = grouped_check_outcome(
-                    name, result
-                )
-            if result.status == "proved" and candidate not in promoted:
-                promoted.add(candidate)
-                found.append((candidate, direction))
-        return found
-
-    def _bypass_check(self, spec, finding=None):
-        task, name = self.bypass_task(spec)
-        return self._supervised(task, name, finding=finding).verdict
-
-    def check_bypass_register(self, spec):
-        """Eq. (4) via CEGIS; returns a BypassResult."""
-        return self._bypass_check(spec)

@@ -1,4 +1,4 @@
-"""The per-check supervision state machine, shared by serial and pool.
+"""The per-check supervision state machine, shared by both executors.
 
 :class:`CheckExecution` owns everything one supervised check decides
 *between* attempts: the outcome-cache consult (full hit / partial-hit
@@ -8,12 +8,13 @@ resumed run's relative bounds back into absolute claims.
 
 It deliberately performs **no execution and no tracing**: the caller
 runs the attempt however it likes — :class:`~repro.runner.supervisor.
-CheckRunner` synchronously (inline or one worker per attempt), the
-parallel scheduler (:mod:`repro.sched`) by dispatching to a persistent
-worker pool — and feeds the resulting :class:`AttemptRecord` back in.
-Keeping the state machine in one place is what makes a check behave
-identically whether it ran serially or on a pool: same cache
-disposition, same retry ladder, same final :class:`CheckOutcome`.
+CheckRunner` synchronously (inline or one worker per attempt, the
+scheduler's inline executor), the scheduler's pool executor
+(:mod:`repro.sched`) by dispatching to a persistent worker pool — and
+feeds the resulting :class:`AttemptRecord` back in. Keeping the state
+machine in one place is what makes a check behave identically on
+either executor: same cache disposition, same retry ladder, same final
+:class:`CheckOutcome`.
 
 The drive protocol::
 

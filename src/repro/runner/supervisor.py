@@ -1,28 +1,28 @@
 """The supervised check runner: isolation, budgets, retries.
 
-:class:`CheckRunner` is the single choke point every property check of
-Algorithm 1 (and the benchmark harness) goes through. For each check it
-runs one or more *attempts* under a :class:`RetryPolicy`, each attempt
-either inline (same process, cooperative budgets only — the historical
-behaviour) or in a ``multiprocessing`` worker with a hard wall-clock
-timeout and an ``RLIMIT_AS`` memory cap. Whatever happens — a verdict,
-an exhausted budget, a :class:`ResourceBudgetExceeded`, a hang killed at
-the timeout, or a worker that dies outright — the caller receives a
-structured :class:`CheckOutcome`, never an exception: a single solver
-blow-up can no longer abort a whole audit.
+:class:`CheckRunner` runs one property check under supervision. For
+each check it runs one or more *attempts* under a :class:`RetryPolicy`,
+each attempt either inline (same process, cooperative budgets only) or
+in a fresh ``multiprocessing`` worker with a hard wall-clock timeout and
+an ``RLIMIT_AS`` memory cap. Whatever happens — a verdict, an exhausted
+budget, a :class:`ResourceBudgetExceeded`, a hang killed at the timeout,
+or a worker that dies outright — the caller receives a structured
+:class:`CheckOutcome`, never an exception: a single solver blow-up
+cannot abort a whole audit.
 
-The per-check decision logic (cache consult, retry ladder, partial-
-result folding) lives in :class:`~repro.runner.execution.CheckExecution`
-so the parallel scheduler (:mod:`repro.sched`) runs the *same* state
-machine on its persistent worker pool. ``CheckRunner`` itself is the
-serial driver: it executes attempts one at a time, in this thread.
+Algorithm 1's checks reach it through :class:`~repro.sched.AuditScheduler`,
+the one orchestrator: its inline executor (``jobs=None``) calls
+:meth:`CheckRunner.run` for each check, one at a time, in this thread.
+Its pool executor runs the same per-check decision logic (cache consult,
+retry ladder, partial-result folding), which lives in
+:class:`~repro.runner.execution.CheckExecution`, on persistent workers
+instead. The benchmark harness calls :meth:`run` directly.
 
 A runner configured for parallelism (``configure(workers=N)`` with
-``N >= 2``) sets :attr:`jobs` and refuses the serial :meth:`run` — it
-must be handed to :class:`~repro.core.detector.TrojanDetector` (or
-:mod:`repro.sched` directly), which drives the pool. Before the
-scheduler existed, ``workers=4`` silently behaved exactly like
-``workers=1``; it now either parallelizes or raises, never lies.
+``N >= 2``) sets :attr:`jobs` and refuses :meth:`run` — it must be
+handed to :class:`~repro.core.detector.TrojanDetector` (or
+:mod:`repro.sched` directly), which drives the pool. It either
+parallelizes or raises; it never silently runs one check at a time.
 """
 
 from __future__ import annotations
@@ -48,13 +48,18 @@ from repro.runner.worker import run_in_process
 INLINE = "inline"
 PROCESS = "process"
 
-#: Kept for backward compatibility; canonical home is runner.execution.
-_CONCLUSIVE = CONCLUSIVE
-
 
 def absorb_result(record, result):
-    """Write an engine result object onto an :class:`AttemptRecord`."""
+    """Write an engine result object onto an :class:`AttemptRecord`.
+
+    A list is a :class:`~repro.runner.tasks.GroupObjectiveTask`'s
+    per-member results: the group ran to completion, so the attempt is
+    ``OK`` and each member's verdict is read from its own result.
+    """
     record._result = result
+    if isinstance(result, list):
+        record.status = OK
+        return
     record.bound_reached = getattr(result, "bound", 0)
     record.peak_memory = getattr(result, "peak_memory", 0)
     status = getattr(result, "status", None)

@@ -140,14 +140,14 @@ class GroupObjectiveTask:
 
     Wraps :class:`~repro.bmc.group.MultiObjectiveBmc` over objectives
     whose fan-in cones overlap: one clone, one unrolling per bound, one
-    solver serving every member via assumptions. The parallel scheduler
-    runs each group as a *single* pool task — the shared encoding is the
-    whole point, splitting the members across workers would re-pay it
-    per member. Returns the per-member result list in member order.
+    solver serving every member via assumptions. The scheduler runs
+    each group as a *single* check, inline or as one pool task — the
+    shared encoding is the whole point, splitting the members across
+    workers would re-pay it per member. Returns the per-member result
+    list in member order.
 
     Grouped checks do not participate in the outcome cache (member
-    verdicts are entangled with the group's shared encoding budget),
-    matching the serial ``share_cones`` path.
+    verdicts are entangled with the group's shared encoding budget).
     """
 
     netlist: object

@@ -1,4 +1,4 @@
-"""Parallel audit scheduling on a persistent worker pool.
+"""Algorithm 1 scheduling, inline or on a persistent worker pool.
 
 Two layers:
 
@@ -6,16 +6,17 @@ Two layers:
   workers spawned once, each serving tasks over its own pipe with the
   crash-isolation guarantees of the fork-per-attempt runner (hard
   timeout kill + respawn, ``RLIMIT_AS`` at spawn, EOF-as-crash).
-* :mod:`~repro.sched.scheduler` — :class:`AuditScheduler`: Algorithm 1
-  as a dynamic task DAG, scheduled across registers and designs, with
-  serial-replay assembly so the parallel report is identical to the
-  serial one, claim-locked cache coordination, early cancellation, and
+* :mod:`~repro.sched.scheduler` — :class:`AuditScheduler`: the one
+  orchestrator of Algorithm 1, a dynamic task DAG across registers and
+  designs, run by an inline executor (``jobs=None``) or on the pool,
+  with ordered assembly so the report does not depend on the executor,
+  claim-locked cache coordination on the pool, early cancellation, and
   per-design telemetry subtrees.
 
-Entry points: ``TrojanDetector(..., config=AuditConfig(jobs=N))`` (or
-``CheckRunner.configure(workers=N)``) routes a single audit through the
-scheduler; :class:`AuditScheduler` directly schedules many designs on
-one pool (the ``repro bench`` path).
+Entry points: every ``TrojanDetector.run()`` goes through the scheduler
+(``AuditConfig(jobs=N)`` or ``CheckRunner.configure(workers=N)`` picks
+the pool); :class:`AuditScheduler` directly schedules many designs at
+once (the ``repro bench`` path).
 """
 
 from repro.sched.pool import PersistentWorkerPool, PoolEvent

@@ -1,45 +1,60 @@
-"""Dependency-aware parallel scheduling of Algorithm 1 audits.
+"""Algorithm 1's one orchestrator: a dependency-aware check DAG.
 
 :class:`AuditScheduler` runs the paper's per-register check sequence —
-Eq. (3) pseudo-critical tracking, Eq. (2) corruption, Eq. (4) bypass —
-concurrently across registers *and* across designs on one
-:class:`~repro.sched.pool.PersistentWorkerPool`, and still produces
-reports **identical** to the serial
-:class:`~repro.core.detector.TrojanDetector` loop. Two ideas make that
-possible:
+Eq. (3) pseudo-critical tracking, Eq. (2) corruption and the promoted
+registers' shadow corruption, Eq. (4) bypass, stopping at the first
+Trojan — for one or more designs. It has two executors:
+
+* **inline** (``jobs=None``): the highest-priority ready check runs
+  synchronously through its request's own
+  :class:`~repro.runner.supervisor.CheckRunner`, which handles
+  isolation, the outcome cache, retries, fault injection and spans.
+  Checks run one at a time in Algorithm 1's order, so inline does
+  exactly the work the paper's loop does and never speculates. BMC
+  checks of one register share a live
+  :class:`~repro.bmc.session.SolverSession`.
+* **pool** (``jobs=N``): checks run on a
+  :class:`~repro.sched.pool.PersistentWorkerPool` of ``N`` workers,
+  concurrently across registers and designs.
+
+Both executors produce the same report. Three ideas make that possible:
 
 **Dynamic task DAG.** Every check is a node. Within a register,
 ``tracking(after)`` nodes are ready immediately; each ``tracking(before)``
 node is gated on its ``after`` sibling finishing *without* a proof
-(serial never runs ``before`` once ``after`` promoted the candidate). A
-candidate promoted to pseudo-critical dynamically enqueues its own
-shadow-corruption audit — new nodes appear as verdicts arrive. The
-corruption and bypass nodes are ready immediately and run
-*speculatively*: serial may never have reached them (``stop_on_first``),
-so whether their results are *used* is decided later.
+(``before`` is never checked once ``after`` promoted the candidate). A
+candidate promoted to pseudo-critical enqueues its own shadow-corruption
+audit — new nodes appear as verdicts arrive. Corruption and bypass
+nodes are ready immediately; on the pool they run *speculatively*,
+since a detection may make them unnecessary.
 
-**Serial-replay assembly.** A register's finding is assembled only when
-every check the serial loop *would have run* has completed, consuming
-outcomes in exactly the serial order and discarding speculative results
-serial would not have produced (a bypass solved in parallel with a
-corruption check that found the Trojan is simply dropped). Registers
-commit strictly in the serial (lint-prioritized) order, so
-``report.findings``, each finding's ``check_outcomes`` insertion order,
-promotion lists and stop-on-first truncation are byte-for-byte the
-serial result. Early-cancel is the converse: the moment an outcome
-proves a node's result can never be consumed — a committed Trojan at an
-earlier register, a detected corruption ahead of its speculative bypass
-— the node's worker is killed and the node dropped, *without* waiting.
+**Priority.** Ready nodes pop in ``(screen score, design, register,
+kind, sequence)`` order, where kind ranks tracking < corruption <
+shadow < bypass. One-at-a-time execution in that order *is* Algorithm
+1's order, and the cancel rules remove everything Algorithm 1 skips: a
+detected corruption cancels the register's shadows and bypass, a
+detected shadow cancels later shadows and the bypass, and a register
+committed as a Trojan discards every register after it.
 
-Cross-pool coordination: cache-participating nodes claim their
-fingerprint in a :class:`~repro.cache.ClaimRegistry` before solving;
-losing the claim defers the node, which re-consults the cache while it
-waits — two pools sharing a ``--cache-dir`` never solve the same check
-twice. Telemetry: each node records its check/attempt spans (plus the
-worker-shipped engine spans) in a private buffer; committed registers
-replay their kept nodes' buffers, in serial order, into a per-design
-``audit`` subtree that lands in the main trace when the design finishes
-— N workers, one coherent tree.
+**Ordered assembly.** A register's finding is assembled only when
+every check Algorithm 1 runs for it has completed, consuming outcomes in
+Algorithm 1's order and discarding speculative results it would not have
+produced. Registers commit strictly in the (screen-prioritized) register
+order, so ``report.findings``, each finding's ``check_outcomes`` order,
+promotion lists and stop-on-first truncation do not depend on the
+executor or the worker count. On the pool, early-cancel is the converse:
+the moment an outcome proves a node's result can never be consumed, the
+node's worker is killed and the node dropped.
+
+Cross-pool coordination: pool nodes that participate in the cache claim
+their fingerprint in a :class:`~repro.cache.ClaimRegistry` before
+solving; losing the claim defers the node, which re-consults the cache
+while it waits — two pools sharing a ``--cache-dir`` never solve the
+same check twice. The inline executor takes no claims. Telemetry: each
+node records its check/attempt spans (plus the engine spans) in a
+private buffer; committed registers replay their kept nodes' buffers,
+in order, into a per-design ``audit`` subtree that lands in the main
+trace when the design finishes — one coherent tree on either executor.
 """
 
 from __future__ import annotations
@@ -55,13 +70,18 @@ from repro.core.detector import (
 from repro.core.report import DetectionReport, RegisterFinding
 from repro.core.registers import pseudo_critical_candidates
 from repro.errors import CheckpointWriteError, ReproError
-from repro.obs.tracer import NULL_TRACER, BufferTracer, get_tracer
+from repro.obs.tracer import NULL_TRACER, BufferTracer, get_tracer, tracing
 from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import warn_checkpoint_lost
 from repro.runner.execution import CheckExecution
-from repro.runner.outcome import AttemptRecord
-from repro.runner.policy import CRASHED, OK, RetryPolicy
-from repro.runner.supervisor import PROCESS, absorb_message
+from repro.runner.outcome import AttemptRecord, CheckOutcome
+from repro.runner.policy import CRASHED
+from repro.runner.supervisor import (
+    INLINE,
+    PROCESS,
+    absorb_message,
+    strip_telemetry,
+)
 from repro.runner.tasks import GroupObjectiveTask
 from repro.sched.pool import PersistentWorkerPool
 from repro.screens import attach_evidence
@@ -72,6 +92,9 @@ GROUP = "group"
 CORRUPTION = "corruption"
 SHADOW = "shadow"
 BYPASS = "bypass"
+
+#: Algorithm 1's order of check families within one register.
+KIND_RANK = {TRACKING: 0, GROUP: 0, CORRUPTION: 1, SHADOW: 2, BYPASS: 3}
 
 #: Seconds between cache re-consults while another process holds a claim.
 CLAIM_POLL = 0.05
@@ -107,7 +130,8 @@ class _Node:
         self.kind = kind
         self.name = name
         self.seq = seq
-        self.priority = (-reg.static_score, audit.index, reg.index, seq)
+        self.priority = (-reg.static_score, audit.index, reg.index,
+                         KIND_RANK[kind], seq)
         self.factory = factory
         self.task = task
         self.state = "waiting"
@@ -147,12 +171,13 @@ class _RegisterState:
         # fused lint + IFT + diff priority score (fused_register_scores)
         self.static_score = static_score
         self.spec = None
-        self.started = 0.0
-        self.error = None  # raised when the serial replay reaches it
+        self.started = None  # stamped when the first node is dispatched
+        self.session = None  # inline BMC SolverSession, built lazily
+        self.error = None  # raised when the commit frontier reaches it
         self.candidates = []
         self.tracking = {}  # (candidate, direction) -> node
         self.grouped = False
-        self.builds = []  # (candidate, direction, MonitorBuild), serial order
+        self.builds = []  # (candidate, direction, MonitorBuild), in order
         self.group_nodes = []
         self.group_pending = 0
         self.group_results = {}  # build index -> engine result
@@ -186,31 +211,35 @@ class _AuditState:
     def __init__(self, index, detector, names, report, store):
         self.index = index
         self.detector = detector
-        self.names = names  # serial (lint-prioritized) register order
+        self.names = names  # commit order (screen-prioritized)
         self.report = report
         self.store = store  # AuditCheckpoint or None
         self.regs = {}  # register -> _RegisterState (non-restored only)
         self.frontier = 0  # index into names of next commit
         self.started = time.perf_counter()
         self.done = False
-        self.buf = None  # per-design BufferTracer
+        self.buf = None  # tracer the design's ``audit`` subtree goes to
         self.audit_span = None
 
 
 class AuditScheduler:
-    """Runs one or more audits on a persistent pool of ``jobs`` workers.
+    """Runs one or more audits inline (``jobs=None``) or on a persistent
+    pool of ``jobs`` workers.
 
-    Pool-wide settings (memory cap, fault injector, profile dir,
+    Inline, every check runs through its request's own runner. On the
+    pool, pool-wide settings (memory cap, fault injector, profile dir,
     multiprocessing context) come from the **first** request's runner;
     per-node settings (retry policy, hard timeouts, cache directory)
     honour each request's own runner and detector.
     """
 
-    def __init__(self, requests, jobs, mp_context=None):
+    def __init__(self, requests, jobs=None, mp_context=None):
         if not requests:
             raise ReproError("no audits to schedule")
-        if jobs < 1:
-            raise ReproError("jobs must be >= 1, got {}".format(jobs))
+        if jobs is not None and jobs < 1:
+            raise ReproError(
+                "jobs must be None (inline) or >= 1, got {}".format(jobs)
+            )
         self.requests = list(requests)
         self.jobs = jobs
         self.mp_context = mp_context
@@ -229,30 +258,34 @@ class AuditScheduler:
 
     def run(self):
         """Run every audit to completion; returns reports in request
-        order. Reports are identical to each detector's serial output."""
+        order. Reports do not depend on the executor or worker count."""
         self.tracer = get_tracer()
         for index, request in enumerate(self.requests):
             self.audits.append(self._setup_audit(index, request))
-        for audit in self.audits:
-            self._advance(audit)
-        if not self._incomplete():
-            return [audit.report for audit in self.audits]
-        first = self.requests[0].detector.runner
-        self.pool = PersistentWorkerPool(
-            self.jobs,
-            memory_bytes=first.limits.memory_bytes,
-            injector=first.fault_injector,
-            mp_context=self.mp_context or first.mp_context,
-            collect_events=self.tracer.enabled,
-            profile_dir=first.profile_dir,
-        )
         try:
-            self.pool.start()
+            for audit in self.audits:
+                self._advance(audit)
+            if self._incomplete() and self.jobs is not None:
+                first = self.requests[0].detector.runner
+                self.pool = PersistentWorkerPool(
+                    self.jobs,
+                    memory_bytes=first.limits.memory_bytes,
+                    injector=first.fault_injector,
+                    mp_context=self.mp_context or first.mp_context,
+                    collect_events=self.tracer.enabled,
+                    profile_dir=first.profile_dir,
+                )
+                self.pool.start()
             self._loop()
         finally:
-            self.pool.shutdown()
+            if self.pool is not None:
+                self.pool.shutdown()
             for registry in self._claims.values():
                 registry.release_all()
+            for audit in self.audits:
+                if not audit.done and audit.buf is self.tracer:
+                    # an audit that raised still closes its live span
+                    self.tracer.end(audit.audit_span, error=True)
         return [audit.report for audit in self.audits]
 
     # ------------------------------------------------------------ main loop
@@ -307,9 +340,14 @@ class AuditScheduler:
         heapq.heappush(self._deferred, (until, node.seq, node, wake))
 
     def _dispatch(self):
-        while self._ready and self.pool.idle_count > 0:
+        while self._ready and (self.pool is None or self.pool.idle_count):
             _prio, node = heapq.heappop(self._ready)
-            if node.state not in ("ready",):
+            if node.state != "ready":
+                continue
+            if node.reg.started is None:
+                node.reg.started = time.perf_counter()
+            if self.pool is None:
+                self._run_inline(node)
                 continue
             if node.execution is None and not self._init_execution(node):
                 continue  # answered by the cache, or swallowed an error
@@ -330,6 +368,52 @@ class AuditScheduler:
                 continue
             node.delay_served = False
             self._submit(node, task)
+
+    def _run_inline(self, node):
+        """Inline executor: run one check synchronously through the
+        request's runner. It takes no cache claim; buffered spans replay
+        under ``audit.register`` at commit, as pool nodes' do."""
+        runner = node.audit.detector.runner
+        if node.task is None:
+            node.task = node.factory(self._session(node))
+        if self.tracer.enabled:
+            # counters and histograms land in the main registry directly
+            node.tracer = BufferTracer(metrics=self.tracer.metrics)
+            with tracing(node.tracer):
+                node.outcome = runner.run(node.task, node.name)
+            node.events = node.tracer.drain()
+            node.tracer = None
+        else:
+            node.outcome = runner.run(node.task, node.name)
+        node.task = None  # its monitor netlist is not needed any more
+        node.state = "done"
+        self.stats["checks"] += 1
+        if node.outcome.cache == "hit":
+            self.stats["cache_completed"] += 1
+        self._node_finished(node)
+
+    def _session(self, node):
+        """The register's live :class:`SolverSession` for an inline BMC
+        tracking/corruption/shadow check with an inline runner, else
+        ``None``. Built when first needed; dropped at commit or discard,
+        so at most one register holds a live solver at a time."""
+        reg = node.reg
+        det = reg.audit.detector
+        if (
+            self.pool is not None
+            or node.kind not in (TRACKING, CORRUPTION, SHADOW)
+            or not det.sessions
+            or det.engine != "bmc"
+            or det.runner.isolation != INLINE
+        ):
+            return None
+        if reg.session is None:
+            from repro.bmc.session import SolverSession
+
+            reg.session = SolverSession(
+                det.netlist.clone(), pinned_inputs=det.spec.pinned_inputs
+            )
+        return reg.session
 
     def _submit(self, node, task):
         runner = node.audit.detector.runner
@@ -364,25 +448,9 @@ class AuditScheduler:
             time_budget=getattr(task, "time_budget", None),
         )
         record._result = None
-        message = event.message
-        if node.tracer is not None and message and isinstance(
-            message[-1], dict
-        ) and "events" in message[-1]:
-            telemetry = message[-1]
-            node.tracer.absorb(telemetry.get("events"))
-            node.tracer.metrics.merge_counters(
-                telemetry.get("counters") or {}
-            )
-            message = message[:-1]
-        if node.kind == GROUP and message[0] == "ok":
-            # a group's result is a per-member list, not an engine result
-            record.status = OK
-            record._result = message[1]
-        else:
-            absorb_message(
-                record, message, node.name,
-                node.tracer if node.tracer is not None else NULL_TRACER,
-            )
+        tracer = node.tracer if node.tracer is not None else NULL_TRACER
+        message = strip_telemetry(tracer, event.message)
+        absorb_message(record, message, node.name, tracer)
         record.elapsed = time.perf_counter() - node.attempt_started
         if node.tracer is not None:
             node.tracer.end(
@@ -418,10 +486,7 @@ class AuditScheduler:
         self._seq += 1
         node = _Node(reg.audit, reg, kind, name, self._seq,
                      factory=factory, task=task)
-        node.retry = (
-            RetryPolicy() if kind == GROUP
-            else reg.audit.detector.runner.retry
-        )
+        node.retry = reg.audit.detector.runner.retry
         if ready:
             node.state = "ready"
             heapq.heappush(self._ready, (node.priority, node))
@@ -435,7 +500,7 @@ class AuditScheduler:
         """
         runner = node.audit.detector.runner
         if node.task is None:
-            node.task = node.factory()
+            node.task = node.factory(None)
         cache = runner.cache_for(getattr(node.task, "cache_dir", None))
         node.execution = CheckExecution(
             node.task, node.name, node.retry, cache=cache
@@ -526,7 +591,7 @@ class AuditScheduler:
             self._group_done(node)
         elif node.kind == CORRUPTION:
             if stop and node.verdict.detected:
-                # serial would never reach this register's shadows/bypass
+                # Algorithm 1 never reaches this register's shadows/bypass
                 reg.suppress_shadows = True
                 for shadow in reg.shadows.values():
                     self._cancel_node(shadow)
@@ -548,7 +613,7 @@ class AuditScheduler:
         if node.direction == "after":
             if node.verdict.status == "proved":
                 self._decide(reg, candidate, True, "after")
-                # serial short-circuits: "before" is never checked
+                # short-circuit: "before" is never checked
                 before = reg.tracking.get((candidate, "before"))
                 if before is not None:
                     before.state = "canceled"
@@ -586,7 +651,7 @@ class AuditScheduler:
         reg.group_pending -= 1
         if reg.group_pending > 0:
             return
-        # all groups answered: replay the serial promotion scan, where
+        # all groups answered: replay the promotion scan, where
         # "after" beats "before" because it comes first in build order
         found = []
         seen = set()
@@ -610,14 +675,14 @@ class AuditScheduler:
         if reg.shadow_stop is not None and (
             reg.candidates.index(candidate) > reg.shadow_stop
         ):
-            return  # an earlier shadow already stopped the serial scan
+            return  # an earlier shadow already stopped the scan
         shadow_spec = det.shadow_spec(reg.spec, candidate, direction)
         way_delay = 2 if direction == "after" else 0
         node = self._add_node(
             reg, SHADOW, "corruption({})".format(candidate),
-            factory=lambda det=det, spec=shadow_spec, wd=way_delay: (
+            factory=lambda session, det=det, spec=shadow_spec, wd=way_delay: (
                 det.corruption_task(
-                    spec, functional=False, way_delay=wd, session=None
+                    spec, functional=False, way_delay=wd, session=session
                 )[0]
             ),
             ready=True,
@@ -653,7 +718,11 @@ class AuditScheduler:
                     report.findings[register] = restored[register]
         audit = _AuditState(index, det, names, report, store)
         if self.tracer.enabled:
-            audit.buf = BufferTracer()
+            # one design writes its subtree straight to the trace; several
+            # buffer theirs, so each lands in one piece when it finishes
+            audit.buf = (
+                self.tracer if len(self.requests) == 1 else BufferTracer()
+            )
             audit.audit_span = audit.buf.begin(
                 "audit",
                 design=det.netlist.name,
@@ -670,24 +739,22 @@ class AuditScheduler:
             audit.regs[register] = reg
             try:
                 self._init_register(reg)
-            except Exception as exc:  # noqa: BLE001 - replay serial timing
-                # serial raises only when its loop *reaches* the broken
-                # register; stash the error and re-raise at the frontier
+            except Exception as exc:  # noqa: BLE001 - raise in order
+                # the audit fails only when the commit frontier *reaches*
+                # the broken register; stash the error until then
                 reg.error = exc
         return audit
 
     def _init_register(self, reg):
         det = reg.audit.detector
         reg.spec = det.spec.spec_for(reg.register)
-        reg.started = time.perf_counter()
-        # session=None throughout: scheduler tasks execute in worker
-        # processes, which cannot share the supervisor's live solver —
-        # pickling would drop the session hint anyway, so the scheduler
-        # never builds one.
+        # factories take the register's inline session (see _session);
+        # pool tasks get None, since a live solver cannot cross a
+        # process boundary
         reg.corruption = self._add_node(
             reg, CORRUPTION, "corruption({})".format(reg.register),
-            factory=lambda det=det, spec=reg.spec: (
-                det.corruption_task(spec, session=None)[0]
+            factory=lambda session, det=det, spec=reg.spec: (
+                det.corruption_task(spec, session=session)[0]
             ),
             ready=True,
         )
@@ -705,9 +772,11 @@ class AuditScheduler:
                             "tracking({}->{},{})".format(
                                 reg.register, candidate, direction
                             ),
-                            factory=lambda det=det, spec=reg.spec,
+                            factory=lambda session, det=det, spec=reg.spec,
                             c=candidate, d=direction: (
-                                det.tracking_task(spec, c, d, session=None)[0]
+                                det.tracking_task(
+                                    spec, c, d, session=session
+                                )[0]
                             ),
                             ready=(direction == "after"),
                         )
@@ -721,7 +790,7 @@ class AuditScheduler:
         if det.check_bypass:
             reg.bypass = self._add_node(
                 reg, BYPASS, "bypass({})".format(reg.register),
-                factory=lambda det=det, spec=reg.spec: (
+                factory=lambda _session, det=det, spec=reg.spec: (
                     det.bypass_task(spec)[0]
                 ),
                 ready=True,
@@ -753,8 +822,8 @@ class AuditScheduler:
         reg.group_pending = len(reg.group_nodes)
 
     def _advance(self, audit):
-        """Serial-replay commit loop: commit frontier registers whose
-        serial check set is fully known, in serial order."""
+        """Commit loop: commit frontier registers whose Algorithm 1
+        check set is fully known, in register order."""
         if audit.done:
             return
         det = audit.detector
@@ -782,25 +851,24 @@ class AuditScheduler:
         self._finalize(audit)
 
     def _try_assemble(self, reg):
-        """Replay the serial per-register flow against completed nodes.
+        """Replay Algorithm 1's per-register flow against completed nodes.
 
-        Returns ``(finding, kept_nodes)`` when every check the serial
-        loop would run has completed, else ``None``. ``kept_nodes`` are
-        the consumed nodes in serial execution order — speculative
-        results serial would not have produced are *not* consumed.
+        Returns ``(finding, kept_nodes)`` when every check Algorithm 1
+        runs for the register has completed, else ``None``.
+        ``kept_nodes`` are the consumed nodes in Algorithm 1 order —
+        speculative results it would not have produced are *not*
+        consumed.
         """
         det = reg.audit.detector
         stop = det.stop_on_first
         kept = []
-        outcomes = []  # (check name, CheckOutcome), serial insertion order
+        outcomes = []  # (check name, CheckOutcome), in check order
         promoted = []
         if det.check_pseudo_critical and reg.candidates:
             if reg.promoted is None:
                 return None
             promoted = reg.promoted
             if reg.grouped:
-                from repro.core.detector import grouped_check_outcome
-
                 kept.extend(reg.group_nodes)
                 for index, (candidate, direction, _build) in enumerate(
                     reg.builds
@@ -879,14 +947,18 @@ class AuditScheduler:
         return finding, kept
 
     def _commit(self, audit, reg, finding, kept):
+        reg.session = None
         if audit.buf is not None:
-            with audit.buf.span(
-                "audit.register", register=reg.register
-            ) as extra:
-                for node in kept:
-                    if node.events:
-                        audit.buf.absorb(node.events)
-                extra.update(trojan_found=finding.trojan_found)
+            buf = BufferTracer()
+            span = buf.begin("audit.register", register=reg.register)
+            # the span covers the register's checks, which ran before
+            # this replay: start it when the first of them was dispatched
+            buf.events[-1]["t"] = reg.started
+            for node in kept:
+                if node.events:
+                    buf.absorb(node.events)
+            buf.end(span, trojan_found=finding.trojan_found)
+            audit.buf.absorb(buf.drain())
         audit.report.findings[reg.register] = finding
         if audit.store is not None:
             try:
@@ -895,8 +967,8 @@ class AuditScheduler:
                 audit.store = None  # keep auditing, uncheckpointed
                 warn_checkpoint_lost(exc, self.tracer)
         reg.committed = True
-        # anything this register solved speculatively but serial never
-        # consumed (canceled or still running) is now provably unwanted
+        # anything this register solved speculatively that Algorithm 1
+        # never consumed (canceled or still running) is now unwanted
         for node in reg.nodes():
             if not (node.done and node in kept) and node.state != (
                 "canceled"
@@ -907,7 +979,7 @@ class AuditScheduler:
                     self._cancel_node(node)
 
     def _discard_rest(self, audit, from_index):
-        """A committed Trojan ends the design's serial loop: every
+        """A committed Trojan ends the design's audit: every
         not-yet-committed register after it is dropped, its workers
         killed."""
         for name in audit.names[from_index:]:
@@ -915,6 +987,7 @@ class AuditScheduler:
             if reg is None or reg.committed or reg.discarded:
                 continue
             reg.discarded = True
+            reg.session = None
             for node in reg.nodes():
                 if node.done:
                     self.stats["discarded"] += 1
@@ -930,20 +1003,34 @@ class AuditScheduler:
                 trojan_found=audit.report.trojan_found,
                 registers=len(audit.report.findings),
             )
-            self.tracer.absorb(audit.buf.drain())
+            if audit.buf is not self.tracer:
+                self.tracer.absorb(audit.buf.drain())
             audit.buf = None
 
 
+def grouped_check_outcome(name, result):
+    """The :class:`CheckOutcome` of one member of a shared-cone tracking
+    group, synthesized from its engine result (the runner supervised
+    the group as a whole, not the member)."""
+    outcome = CheckOutcome(
+        name=name,
+        status="ok" if result.status in ("violated", "proved")
+        else "exhausted",
+        result=result,
+        bound_reached=result.bound,
+        elapsed=result.elapsed,
+    )
+    if outcome.status != "ok":
+        outcome.error = "engine returned {!r} at bound {}".format(
+            result.status, result.bound
+        )
+    return outcome
+
+
 def _group_failure_outcome(name, group_outcome):
-    """Member outcome for a group that died without per-member verdicts.
-
-    Serial has no analogue (grouped solves run inline, so a crash there
-    aborts the whole audit); the pool degrades it to an unconcluded
-    outcome so the rest of the audit survives, exactly like any other
-    supervised check failure.
-    """
-    from repro.runner.outcome import CheckOutcome
-
+    """Member outcome for a group that ended without per-member
+    verdicts: an unconcluded outcome, so the rest of the audit survives
+    like after any other supervised check failure."""
     if group_outcome is None:
         return CheckOutcome(name=name, status=CRASHED,
                             error="group check produced no result")

@@ -40,7 +40,6 @@ import os
 import signal
 import threading
 import time
-from contextlib import contextmanager
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -54,44 +53,18 @@ from repro.serve.queue import JobQueue
 KILL_STAGES = ("leased", "mid", "pre-complete")
 
 
-class _KillPointTracer:
-    """Tracer proxy that fires the ``mid`` kill point from *inside* an
-    audit: the first ``audit.register`` span a killed-at-mid worker
-    opens raises :class:`WorkerKilled` through the detector — the job
-    dies with real partial state (registers already checkpointed by
-    earlier spans), not at a polite boundary."""
+class _MidKillPoint:
+    """Fault injector that fires the ``mid`` kill point from *inside* an
+    audit: the first check a killed-at-mid worker runs raises
+    :class:`WorkerKilled` through the runner and the detector — the job
+    dies with real partial state, not at a polite boundary."""
 
-    def __init__(self, inner, plan, job_id):
-        self._inner = inner
+    def __init__(self, plan, job_id):
         self._plan = plan
         self._job_id = job_id
-        self.enabled = inner.enabled
-        self.metrics = inner.metrics
 
-    def begin(self, name, **attrs):
-        if name == "audit.register" and self._plan is not None:
-            self._plan.kill_worker(self._job_id, "mid")
-        return self._inner.begin(name, **attrs)
-
-    def span(self, name, **attrs):
-        # must route through *our* begin: the inner tracer's span()
-        # would bypass the kill point
-        @contextmanager
-        def _span():
-            span_id = self.begin(name, **attrs)
-            extra = {}
-            try:
-                yield extra
-            except BaseException:
-                extra.setdefault("error", True)
-                raise
-            finally:
-                self._inner.end(span_id, **extra)
-
-        return _span()
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    def fire(self, name, attempt_index, in_worker=False):
+        self._plan.kill_worker(self._job_id, "mid")
 
 
 def _build_audit(payload):
@@ -243,7 +216,7 @@ class AuditService:
             error = None
             partial = None
             try:
-                with tracing(_KillPointTracer(tracer, plan, job_id)):
+                with tracing(tracer):
                     report = self._audit(job)
             except WorkerKilled:
                 raise  # propagate to the worker loop: abandon
@@ -269,7 +242,12 @@ class AuditService:
         from repro.runner import CheckRunner
 
         netlist, spec, config = _build_audit(job["payload"])
-        runner = CheckRunner(backend_factory=self.backend_factory)
+        injector = None
+        if self.fault_plan is not None and config.jobs is None:
+            # inline checks only: a pool would fire it in a check worker
+            injector = _MidKillPoint(self.fault_plan, job["id"])
+        runner = CheckRunner(backend_factory=self.backend_factory,
+                             fault_injector=injector)
         detector = TrojanDetector(netlist, spec, config=config,
                                   runner=runner)
         report = detector.run()

@@ -3,6 +3,7 @@ direct tracking checks, pseudo-critical audit timing windows."""
 
 from repro.core import TrojanDetector
 from repro.properties import DesignSpec, RegisterSpec
+from repro.runner import CheckRunner
 
 from tests.conftest import build_secret_design, secret_spec
 
@@ -56,13 +57,19 @@ def test_stop_on_first_false_audits_everything():
 def test_check_tracking_direct():
     netlist, spec = make("pseudo", invert_pseudo=False)
     detector = TrojanDetector(netlist, spec, max_cycles=10, time_budget=60)
-    tracked = detector.check_tracking(
-        spec.critical["secret"], "pseudo_secret", "after"
-    )
+
+    def tracking_verdict(candidate):
+        task, name = detector.tracking_task(
+            spec.critical["secret"], candidate, "after"
+        )
+        return CheckRunner().run(task, name).verdict
+
+    tracked = tracking_verdict("pseudo_secret")
     assert tracked.status == "proved"
-    diverged = detector.check_tracking(
-        spec.critical["secret"], "troj_counter", "after"
-    ) if "troj_counter" in netlist.registers else None
+    diverged = (
+        tracking_verdict("troj_counter")
+        if "troj_counter" in netlist.registers else None
+    )
     assert diverged is None  # clean design has no counter
 
 

@@ -7,7 +7,7 @@ uncaught exception — and an interrupted multi-register audit must resume
 from its checkpoint without re-running completed registers.
 """
 
-from repro.core import TrojanDetector
+from repro.core import AuditConfig, TrojanDetector
 from repro.properties import DesignSpec
 from repro.runner import (
     CheckRunner,
@@ -39,6 +39,21 @@ def dual_setup():
         },
     )
     return nl, spec
+
+
+class TestElapsed:
+    def test_finding_elapsed_counts_from_first_dispatch(self):
+        # each finding's elapsed starts when its register's first check
+        # is dispatched, not when the audit was set up, so the findings
+        # of a one-at-a-time audit partition (at most) its wall clock
+        nl, spec = dual_setup()
+        config = AuditConfig(max_cycles=6, time_budget=30,
+                             stop_on_first=False)
+        report = TrojanDetector(nl, spec, config=config).run()
+        findings = report.findings.values()
+        assert len(findings) == 2
+        assert all(f.elapsed > 0 for f in findings)
+        assert sum(f.elapsed for f in findings) <= report.elapsed
 
 
 class TestCrashIsolation:

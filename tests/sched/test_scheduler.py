@@ -1,10 +1,14 @@
-"""AuditScheduler vs the serial detector: same report, any worker count."""
+"""AuditScheduler: the inline executor (jobs=None) and the worker pool
+(jobs=N) give the same report, and both match the frozen reports of the
+serial loop the inline executor replaced."""
+
+from pathlib import Path
 
 import pytest
 
 from repro.core import AuditConfig, TrojanDetector
 from repro.properties import DesignSpec
-from repro.runner import AuditCheckpoint, CheckRunner
+from repro.runner import AuditCheckpoint, CheckRunner, FaultInjector
 from repro.runner.checkpoint import finding_to_dict
 from repro.sched import AuditRequest, AuditScheduler
 
@@ -17,8 +21,8 @@ VARIANTS = {
     "bypass": dict(trojan=True, bypass=True),
 }
 
-# "mode" differs between an inline serial check and a pool worker;
-# everything else must match the serial loop field-for-field
+# "mode" differs between an inline check and a pool worker; everything
+# else must match field-for-field
 SERIAL_VS_PARALLEL_SCRUB = {"elapsed", "peak_memory", "saved_elapsed",
                             "ts", "mode"}
 
@@ -56,7 +60,98 @@ def comparable(report):
     }
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+# the feature matrix the golden reports were recorded over; a fixture is
+# named <variant>-<feature>.json
+GOLDEN_FEATURES = {
+    "pseudo-bypass": dict(check_pseudo_critical=True, check_bypass=True),
+    "share-cones": dict(check_pseudo_critical=True, share_cones=True),
+    "no-stop": dict(check_pseudo_critical=True, stop_on_first=False),
+}
+GOLDEN_CASES = [
+    "{}-{}".format(variant, feature)
+    for variant in ("trojan", "clean", "pseudo")
+    for feature in GOLDEN_FEATURES
+]
+
+
+class TestGoldenReports:
+    """``report.to_json(scrub=True)`` of the serial detector loop, frozen
+    before that loop was replaced by the scheduler's inline executor."""
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("case", GOLDEN_CASES)
+    def test_reproduces_fixture(self, case, jobs):
+        variant, feature = case.split("-", 1)
+        report = audit(variant, jobs=jobs, **GOLDEN_FEATURES[feature])
+        text = report.to_json(scrub=True) + "\n"
+        if jobs is not None:
+            # an attempt's mode records where it ran; that is the one
+            # field a pool worker legitimately changes
+            text = text.replace('"mode": "process"', '"mode": "inline"')
+        assert text == (GOLDEN / (case + ".json")).read_text()
+
+
+class TestInlineExecutor:
+    def test_inline_never_speculates(self):
+        nl, spec = design_for("pseudo")  # Trojaned, with a tracking copy
+        config = AuditConfig(
+            max_cycles=10, time_budget=60, check_pseudo_critical=True,
+            check_bypass=True, stop_on_first=True,
+        )
+        ran = []
+
+        class Recording(FaultInjector):
+            # consulted before every inline attempt: records what ran
+            def fire(self, name, attempt_index, in_worker=False):
+                ran.append(name)
+                super().fire(name, attempt_index, in_worker=in_worker)
+
+        # a bypass check that ran would crash
+        runner = CheckRunner(fault_injector=Recording.crash_on("bypass(*)"))
+        report = TrojanDetector(nl, spec, config=config, runner=runner).run()
+        finding = report.findings["secret"]
+        assert finding.corruption.detected
+        assert finding.status != "degraded"
+        assert finding.bypass is None
+        # every check that ran was consumed, in the order it ran
+        assert ran == list(finding.check_outcomes)
+        assert not any(name.startswith("bypass(") for name in ran)
+
+        def rank(name):
+            if name.startswith("tracking("):
+                return 0
+            return 1 if name == "corruption(secret)" else 2  # shadows last
+
+        assert [rank(name) for name in ran] == sorted(map(rank, ran))
+        assert rank(ran[0]) == 0 and "corruption(secret)" in ran
+
+    @pytest.mark.parametrize("jobs,sessions,expected", [
+        (None, True, 1), (None, False, 0), (2, True, 0),
+    ])
+    def test_one_session_per_register_inline_only(
+        self, monkeypatch, jobs, sessions, expected
+    ):
+        from repro.bmc import session as session_module
+
+        built = []
+        real = session_module.SolverSession
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "SolverSession", counting)
+        report = audit("pseudo", jobs=jobs, check_pseudo_critical=True,
+                       sessions=sessions)
+        assert report.trojan_found
+        assert len(built) == expected
+
+
 class TestSerialParity:
+    """The inline executor (jobs=None) against the pool (jobs=N)."""
+
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_full_feature_parity(self, variant):
         kwargs = dict(check_pseudo_critical=True, check_bypass=True)
