@@ -24,7 +24,6 @@ sticky and because an engine whose bound loop never runs reports
 
 from repro.cache.backend import (
     CacheBackend,
-    FallbackBackend,
     LocalBackend,
     MemoryBackend,
     NullBackend,
@@ -46,7 +45,6 @@ __all__ = [
     "CheckKey",
     "ClaimRegistry",
     "check_key",
-    "FallbackBackend",
     "FILENAME",
     "LocalBackend",
     "MemoryBackend",

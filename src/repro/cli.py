@@ -10,22 +10,23 @@ Commands
         python -m repro audit --design risc-t100 --engine atpg \\
             --max-cycles 24 --budget 120 --check-bypass
 
-    Resource supervision (see README "Resource limits & graceful
-    degradation"): ``--workers 1`` isolates each check in a worker
-    process, ``--check-timeout`` hard-kills hung checks, ``--retries``
-    re-runs crashed/exhausted checks, and ``--resume ckpt.json``
-    checkpoints completed registers so an interrupted audit picks up
-    where it left off::
-
-        python -m repro audit --design aes-t1200 --workers 1 \\
-            --check-timeout 30 --retries 2 --resume aes_audit.json
-
     ``--jobs N`` runs the audit's independent property checks on a
     persistent pool of N worker processes (see README "Parallel
     audits"); the report is byte-identical to the one without
     ``--jobs``, where the checks run one at a time in this process::
 
         python -m repro audit --design mc8051-t800 --jobs 4
+
+    Resource supervision (see README "Resource limits & graceful
+    degradation"): the pool is the one place a check is isolated, so
+    ``--check-timeout`` (hard-kill hung checks) needs ``--jobs``;
+    ``--jobs 1`` isolates each check without parallelism. ``--retries``
+    re-runs crashed/exhausted checks, and ``--resume ckpt.json``
+    checkpoints completed registers so an interrupted audit picks up
+    where it left off::
+
+        python -m repro audit --design aes-t1200 --jobs 1 \\
+            --check-timeout 30 --retries 2 --resume aes_audit.json
 
 ``bench``
     Audit many designs on **one** scheduler pool and score every
@@ -325,25 +326,40 @@ def cmd_screen(args, out=sys.stdout):
     return 1 if failing else 0
 
 
+def _check_supervision_flags(args):
+    """``--jobs``, ``--check-timeout`` and ``--retries`` of ``audit``
+    and ``bench``.
+
+    A hard timeout needs a process to kill, and pool workers are the
+    only processes checks run in: without ``--jobs`` the timeout would
+    be silently ignored, so it is refused instead.
+    """
+    if args.jobs is not None and args.jobs < 1:
+        raise SystemExit("--jobs must be >= 1")
+    if args.retries < 0:
+        raise SystemExit("--retries must be >= 0")
+    if args.check_timeout is not None:
+        if args.check_timeout <= 0:
+            raise SystemExit("--check-timeout must be positive")
+        if args.jobs is None:
+            raise SystemExit(
+                "--check-timeout needs --jobs: only pool workers can be "
+                "killed at a hard timeout (--jobs 1 isolates each check "
+                "without parallelism)"
+            )
+
+
 def cmd_audit(args, out=sys.stdout):
     from repro.errors import CheckpointError
     from repro.runner import CheckRunner
 
     netlist, spec = _load(args.design)
     registers = args.register or None
-    if args.workers < 0:
-        raise SystemExit("--workers must be >= 0")
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.retries < 0:
-        raise SystemExit("--retries must be >= 0")
-    if args.check_timeout is not None and args.check_timeout <= 0:
-        raise SystemExit("--check-timeout must be positive")
+    _check_supervision_flags(args)
     if args.profile and not args.trace:
         raise SystemExit("--profile needs --trace (dumps live next to it)")
     profile_dir = "{}.profiles".format(args.trace) if args.profile else None
     runner = CheckRunner.configure(
-        workers=args.workers,
         check_timeout=args.check_timeout,
         retries=args.retries,
         profile_dir=profile_dir,
@@ -401,8 +417,7 @@ def cmd_bench(args, out=sys.stdout):
     from repro.bench.harness import audit_sweep
     from repro.runner import CheckRunner
 
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
+    _check_supervision_flags(args)
     # screens with a bench flag; each gets a row column, null when off
     bench_screens = [s for s in SCREENS if s.bench_note]
     names = args.design or design_names()
@@ -899,13 +914,10 @@ def build_parser():
                          help="authorization-only Eq.(2), skip value checks")
     p_audit.add_argument("--witness", action="store_true",
                          help="print counterexample input sequences")
-    p_audit.add_argument("--workers", type=int, default=0,
-                         help="run each property check in an isolated "
-                              "worker process (0 = in-process)")
     p_audit.add_argument("--check-timeout", type=float, default=None,
                          help="hard wall-clock seconds per check attempt; "
                               "a hung engine is killed, not waited on "
-                              "(needs --workers)")
+                              "(needs --jobs)")
     p_audit.add_argument("--retries", type=int, default=0,
                          help="re-run a crashed/exhausted check up to N "
                               "extra times")
@@ -935,7 +947,7 @@ def build_parser():
     p_audit.add_argument("--share-cones", action="store_true",
                          help="batch each register's pseudo-critical "
                               "tracking checks onto one shared unrolling "
-                              "(BMC only, runs inline)")
+                              "(BMC only)")
     p_audit.add_argument("--profile", action="store_true",
                          help="wrap every check attempt in cProfile and "
                               "store pstats dumps next to the trace "
@@ -957,7 +969,8 @@ def build_parser():
     p_bench.add_argument("--check-pseudo-critical", action="store_true")
     p_bench.add_argument("--check-bypass", action="store_true")
     p_bench.add_argument("--check-timeout", type=float, default=None,
-                         help="hard wall-clock seconds per check attempt")
+                         help="hard wall-clock seconds per check attempt "
+                              "(needs --jobs)")
     p_bench.add_argument("--retries", type=int, default=0,
                          help="re-run a crashed/exhausted check up to N "
                               "extra times")

@@ -57,11 +57,10 @@ class AuditConfig:
     executor of :class:`~repro.sched.AuditScheduler`, which runs every
     audit: ``None`` (default) runs the checks one at a time, in
     Algorithm 1's order, through the detector's runner; any integer
-    ``N >= 1`` runs them on a persistent pool of ``N`` worker processes
-    (``jobs=1`` is the one-at-a-time schedule on pool infrastructure —
-    useful for byte-comparing parallel runs against a one-worker
-    baseline, since both execute checks in worker processes). The
-    report is the same either way.
+    ``N >= 1`` runs them on a persistent pool of ``N`` worker processes,
+    the one place a check is isolated: only there do the runner's hard
+    timeout and memory cap hold (``jobs=1`` isolates every check at no
+    parallelism). The report is the same either way.
     """
 
     max_cycles: int = 40
@@ -79,8 +78,8 @@ class AuditConfig:
     #: None: the inline executor; N >= 1: a pool of N worker processes.
     jobs: int | None = None
     #: Keep one solver+unrolling alive per critical register across its
-    #: tracking, corruption and shadow checks (BMC, inline executor and
-    #: inline runner only; worker processes cannot share a live solver).
+    #: tracking, corruption and shadow checks (BMC and inline executor
+    #: only; worker processes cannot share a live solver).
     #: Verdicts, witnesses and cache fingerprints are identical with or
     #: without sessions — this trades repeated cone re-encoding for
     #: incremental solver reuse, nothing more.
@@ -167,9 +166,9 @@ class TrojanDetector:
         (the engines' cooperative budget).
     runner:
         A :class:`~repro.runner.supervisor.CheckRunner` controlling
-        isolation, hard limits and retries. The default runs checks
-        in-process with a single attempt — the pre-supervision
-        behaviour, minus the crashes.
+        retries, fault injection and the hard limits pool workers
+        enforce. The default makes a single attempt per check — the
+        pre-supervision behaviour, minus the crashes.
     screen_reports:
         Reports of the screens that ran first (:mod:`repro.screens`:
         lint, IFT, golden-model diff). Their register scores add up to
@@ -194,9 +193,9 @@ class TrojanDetector:
         shared-cone groups (BMC only): the candidates' monitors are
         stacked on one clone and served by one unrolling per group
         (:class:`~repro.bmc.group.MultiObjectiveBmc`). Each group is one
-        check through the runner on either executor, so it gets the
-        runner's isolation, retries and fault injection; it does not
-        take part in the outcome cache. Grouping trades per-candidate
+        check on either executor, so it gets the runner's retries and
+        fault injection (and the pool's isolation at ``jobs=N``); it does
+        not take part in the outcome cache. Grouping trades per-candidate
         verdict caching for not re-encoding the shared cone once per
         candidate.
     trace:
@@ -263,17 +262,6 @@ class TrojanDetector:
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def scheduler_jobs(self):
-        """Worker-pool size for this audit, or ``None`` for the inline
-        executor. ``config.jobs`` wins; otherwise a pool-backed runner
-        (``configure(workers=N)``, ``N >= 2``) implies its own size."""
-        if self.jobs is not None:
-            return self.jobs
-        if self.runner.jobs > 1:
-            return self.runner.jobs
-        return None
-
     def run(self, registers=None, checkpoint=None):
         """Run Algorithm 1; returns a :class:`DetectionReport`.
 
@@ -289,7 +277,7 @@ class TrojanDetector:
 
         scheduler = AuditScheduler(
             [AuditRequest(self, registers=registers, checkpoint=checkpoint)],
-            jobs=self.scheduler_jobs,
+            jobs=self.jobs,
         )
         if self.trace is None:
             return scheduler.run()[0]

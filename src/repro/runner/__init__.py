@@ -1,12 +1,14 @@
 """Supervised execution layer for Algorithm 1's property checks.
 
 Everything the detector and the benchmark harness need to survive
-hostile workloads: crash-isolated workers with hard timeouts and memory
-caps (:mod:`~repro.runner.worker`), retry policies with escalating
-budgets (:mod:`~repro.runner.policy`), structured per-check outcomes
+hostile workloads: the supervised in-process runner
+(:mod:`~repro.runner.supervisor`), retry policies with escalating
+budgets and the hard limits pool workers enforce
+(:mod:`~repro.runner.policy`), structured per-check outcomes
 (:mod:`~repro.runner.outcome`), audit checkpoint/resume
 (:mod:`~repro.runner.checkpoint`) and deterministic fault injection for
-testing all of it (:mod:`~repro.runner.faultinject`).
+testing all of it (:mod:`~repro.runner.faultinject`). Checks that need
+process isolation run on :mod:`repro.sched.pool`.
 """
 
 from repro.runner.checkpoint import (
@@ -37,9 +39,7 @@ from repro.runner.supervisor import (
     INLINE,
     PROCESS,
     CheckRunner,
-    absorb_message,
     absorb_result,
-    strip_telemetry,
 )
 from repro.runner.tasks import (
     BypassTask,
@@ -59,9 +59,7 @@ __all__ = [
     "CheckOutcome",
     "CheckRunner",
     "GroupObjectiveTask",
-    "absorb_message",
     "absorb_result",
-    "strip_telemetry",
     "CRASHED",
     "DEGRADED_STATUSES",
     "EXHAUSTED",

@@ -34,7 +34,9 @@ DEGRADED_STATUSES = (EXHAUSTED, BUDGET, TIMEOUT, CRASHED)
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Hard per-attempt envelope enforced by the supervisor.
+    """Hard per-attempt envelope, enforced on pool workers
+    (:mod:`repro.sched.pool`); checks run inline get only the engines'
+    cooperative budgets.
 
     Parameters
     ----------

@@ -1,35 +1,29 @@
-"""The supervised check runner: isolation, budgets, retries.
+"""The supervised check runner: budgets, retries, the outcome cache.
 
-:class:`CheckRunner` runs one property check under supervision. For
-each check it runs one or more *attempts* under a :class:`RetryPolicy`,
-each attempt either inline (same process, cooperative budgets only) or
-in a fresh ``multiprocessing`` worker with a hard wall-clock timeout and
-an ``RLIMIT_AS`` memory cap. Whatever happens — a verdict, an exhausted
-budget, a :class:`ResourceBudgetExceeded`, a hang killed at the timeout,
-or a worker that dies outright — the caller receives a structured
-:class:`CheckOutcome`, never an exception: a single solver blow-up
-cannot abort a whole audit.
+:class:`CheckRunner` runs one property check in this process. For each
+check it runs one or more *attempts* under a :class:`RetryPolicy`.
+Whatever happens — a verdict, an exhausted cooperative budget, a
+:class:`ResourceBudgetExceeded`, or an engine exception — the caller
+receives a structured :class:`CheckOutcome`, never an exception: a
+single solver blow-up cannot abort a whole audit.
 
 Algorithm 1's checks reach it through :class:`~repro.sched.AuditScheduler`,
 the one orchestrator: its inline executor (``jobs=None``) calls
 :meth:`CheckRunner.run` for each check, one at a time, in this thread.
-Its pool executor runs the same per-check decision logic (cache consult,
-retry ladder, partial-result folding), which lives in
-:class:`~repro.runner.execution.CheckExecution`, on persistent workers
-instead. The benchmark harness calls :meth:`run` directly.
-
-A runner configured for parallelism (``configure(workers=N)`` with
-``N >= 2``) sets :attr:`jobs` and refuses :meth:`run` — it must be
-handed to :class:`~repro.core.detector.TrojanDetector` (or
-:mod:`repro.sched` directly), which drives the pool. It either
-parallelizes or raises; it never silently runs one check at a time.
+Its pool executor (``jobs=N``) runs the same per-check decision logic
+(cache consult, retry ladder, partial-result folding), which lives in
+:class:`~repro.runner.execution.CheckExecution`, on the persistent
+workers of :mod:`repro.sched.pool` — the one place a check leaves the
+process, and so the only place the runner's :class:`ResourceLimits`
+(hard wall-clock timeout, ``RLIMIT_AS`` cap) are enforced. The
+benchmark harness calls :meth:`run` directly.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.errors import ReproError, ResourceBudgetExceeded
+from repro.errors import ResourceBudgetExceeded
 from repro.obs.profiling import profiled
 from repro.obs.tracer import get_tracer
 from repro.runner.execution import CONCLUSIVE, CheckExecution
@@ -39,11 +33,9 @@ from repro.runner.policy import (
     CRASHED,
     EXHAUSTED,
     OK,
-    TIMEOUT,
     ResourceLimits,
     RetryPolicy,
 )
-from repro.runner.worker import run_in_process
 
 INLINE = "inline"
 PROCESS = "process"
@@ -70,123 +62,42 @@ def absorb_result(record, result):
         )
 
 
-def absorb_message(record, message, name, tracer):
-    """Interpret a worker protocol tuple onto an :class:`AttemptRecord`.
-
-    The tagged-tuple protocol is shared by the fork-per-attempt worker
-    (:func:`~repro.runner.worker.run_in_process`) and the persistent
-    pool (:mod:`repro.sched.pool`): ``("ok", result)``, ``("budget",
-    message, bound)``, ``("timeout", message)``, ``("crashed", message)``.
-    """
-    kind = message[0]
-    if kind == "ok":
-        absorb_result(record, message[1])
-    elif kind == "budget":
-        record.status = BUDGET
-        record.error = message[1]
-        record.bound_reached = message[2]
-    elif kind == "timeout":
-        record.status = TIMEOUT
-        record.error = message[1]
-        if tracer.enabled:
-            # the worker was killed: its event buffer died with it
-            tracer.point("runner.kill", check=name, reason="timeout")
-            tracer.metrics.counter("runner.kills").inc()
-    else:  # crashed
-        record.status = CRASHED
-        record.error = message[1]
-        if tracer.enabled:
-            tracer.point("runner.crash", check=name, error=message[1])
-            tracer.metrics.counter("runner.crashes").inc()
-
-
-def strip_telemetry(tracer, message):
-    """Strip a worker's trailing telemetry element off a protocol
-    tuple, grafting its events under the current (attempt) span and
-    folding its counters into this process's registry. Supervisor-
-    generated tuples (timeout, EOF-crash) carry none."""
-    if message and isinstance(message[-1], dict) and (
-        "events" in message[-1]
-    ):
-        telemetry = message[-1]
-        tracer.absorb(telemetry.get("events"))
-        tracer.metrics.merge_counters(telemetry.get("counters") or {})
-        message = message[:-1]
-    return message
-
-
 class CheckRunner:
     """Runs property checks under supervision.
 
     Parameters
     ----------
-    isolation:
-        ``"inline"`` (default) runs checks in-process — no hard kill is
-        possible, only the engines' cooperative ``time_budget``.
-        ``"process"`` runs each attempt in a worker with hard limits.
     limits:
-        :class:`ResourceLimits` for process-isolated attempts.
+        :class:`ResourceLimits` (hard wall-clock timeout, memory cap).
+        Only pool workers can be killed or capped, so they apply to
+        checks the scheduler runs at ``jobs=N``; in this process only
+        the engines' cooperative ``time_budget`` holds.
     retry:
         :class:`RetryPolicy`; the default makes a single attempt.
     fault_injector:
         Optional :class:`~repro.runner.faultinject.FaultInjector`
         consulted inside the execution context before each attempt.
-    jobs:
-        Degree of check-level parallelism this runner *requests*. The
-        runner itself stays a serial executor; ``jobs >= 2`` marks it
-        as pool-backed, and the detector routes such a runner through
-        :class:`~repro.sched.AuditScheduler` (N persistent workers
-        honouring this runner's ``limits``/``retry``). Calling
-        :meth:`run` directly on a ``jobs >= 2`` runner raises.
+    profile_dir:
+        cProfile pstats directory, one dump per attempt.
     """
 
-    def __init__(self, isolation=INLINE, limits=None, retry=None,
-                 fault_injector=None, mp_context=None, profile_dir=None,
-                 jobs=1, backend_factory=None):
-        if isolation not in (INLINE, PROCESS):
-            raise ReproError(
-                "unknown isolation {!r}; pick {!r} or {!r}".format(
-                    isolation, INLINE, PROCESS
-                )
-            )
-        if jobs < 1:
-            raise ReproError("jobs must be >= 1, got {}".format(jobs))
-        if jobs > 1 and isolation != PROCESS:
-            raise ReproError(
-                "jobs={} needs process isolation: pool workers are "
-                "processes".format(jobs)
-            )
-        self.isolation = isolation
+    def __init__(self, limits=None, retry=None, fault_injector=None,
+                 profile_dir=None):
         self.limits = limits if limits is not None else ResourceLimits()
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_injector = fault_injector
-        self.mp_context = mp_context
         self.profile_dir = profile_dir  # cProfile dumps, one per attempt
-        self.jobs = jobs
-        self.backend_factory = backend_factory  # cache_dir -> CacheBackend
         self._caches = {}  # cache_dir -> CacheBackend
 
     def cache_for(self, cache_dir):
-        """Memoized :class:`~repro.cache.CacheBackend` for a directory.
-
-        The default factory builds a
-        :class:`~repro.cache.backend.LocalBackend` (the pre-backend
-        behaviour, verbatim); a runner constructed with
-        ``backend_factory=`` can substitute any backend — e.g. a
-        :class:`~repro.cache.backend.FallbackBackend` wrapping a shared
-        store — without the supervisor or scheduler noticing.
-        """
+        """Memoized :class:`~repro.cache.CacheBackend` for a directory."""
         if cache_dir is None:
             return None
         cache = self._caches.get(cache_dir)
         if cache is None:
-            if self.backend_factory is not None:
-                cache = self.backend_factory(cache_dir)
-            else:
-                from repro.cache.backend import backend_for
+            from repro.cache.backend import backend_for
 
-                cache = backend_for(cache_dir)
-            self._caches[cache_dir] = cache
+            cache = self._caches[cache_dir] = backend_for(cache_dir)
         return cache
 
     @property
@@ -199,18 +110,15 @@ class CheckRunner:
         return totals
 
     @classmethod
-    def configure(cls, workers=0, check_timeout=None, retries=0,
-                  memory_bytes=None, halve_bound=False, backoff=0.0,
-                  fault_injector=None, profile_dir=None):
+    def configure(cls, check_timeout=None, retries=0, memory_bytes=None,
+                  halve_bound=False, backoff=0.0, fault_injector=None,
+                  profile_dir=None):
         """Build a runner from flat knobs (the CLI's view of the world).
 
-        ``workers=0`` runs checks inline; ``workers=1`` isolates each
-        check in a (fresh) worker process; ``workers=N`` for ``N >= 2``
-        configures a pool-backed runner — ``jobs=N`` — that the detector
-        drives through the parallel scheduler's persistent worker pool.
+        ``check_timeout`` and ``memory_bytes`` become the runner's
+        :class:`ResourceLimits`, which pool workers enforce.
         """
         return cls(
-            isolation=PROCESS if workers else INLINE,
             limits=ResourceLimits(
                 wall_timeout=check_timeout, memory_bytes=memory_bytes
             ),
@@ -220,7 +128,6 @@ class CheckRunner:
             ),
             fault_injector=fault_injector,
             profile_dir=profile_dir,
-            jobs=max(1, workers),
         )
 
     # ------------------------------------------------------------------ API
@@ -228,14 +135,6 @@ class CheckRunner:
     def run(self, task, name=None):
         """Run ``task`` to a :class:`CheckOutcome`; never raises for
         engine-side failures (supervisor bugs still propagate)."""
-        if self.jobs > 1:
-            raise ReproError(
-                "this runner is configured for jobs={}: single checks "
-                "cannot be parallelized by run(); pass the runner to "
-                "TrojanDetector (or repro.sched.AuditScheduler), which "
-                "drives the worker pool — or configure(workers=1) for "
-                "serial supervised execution".format(self.jobs)
-            )
         if name is None:
             name = getattr(task, "property_name", "") or "check"
         tracer = get_tracer()
@@ -288,52 +187,32 @@ class CheckRunner:
 
     def _attempt(self, task, name, index, tracer):
         start = time.perf_counter()
-        mode = self.isolation
         record = AttemptRecord(
             index=index,
             status=CRASHED,
-            mode=mode,
+            mode=INLINE,
             max_cycles=getattr(task, "max_cycles", 0) or 0,
             time_budget=getattr(task, "time_budget", None),
         )
         record._result = None
         with tracer.span(
-            "runner.attempt", check=name, index=index, mode=mode
+            "runner.attempt", check=name, index=index, mode=INLINE
         ) as extra:
-            if mode == PROCESS:
-                message = run_in_process(
-                    task,
-                    name=name,
-                    attempt_index=index,
-                    hard_timeout=self.limits.effective_timeout(
-                        record.time_budget
-                    ),
-                    memory_bytes=self.limits.memory_bytes,
-                    injector=self.fault_injector,
-                    mp_context=self.mp_context,
-                    collect_events=tracer.enabled,
-                    profile_dir=self.profile_dir,
-                )
-                if tracer.enabled:
-                    message = strip_telemetry(tracer, message)
-                absorb_message(record, message, name, tracer)
+            try:
+                if self.fault_injector is not None:
+                    self.fault_injector.fire(name, index, in_worker=False)
+                with profiled(self.profile_dir,
+                              "{}.attempt{}".format(name, index)):
+                    result = task()
+            except ResourceBudgetExceeded as exc:
+                record.status = BUDGET
+                record.error = str(exc)
+                record.bound_reached = getattr(exc, "bound_reached", 0)
+            except Exception as exc:  # noqa: BLE001 - isolation boundary
+                record.status = CRASHED
+                record.error = "{}: {}".format(type(exc).__name__, exc)
             else:
-                try:
-                    if self.fault_injector is not None:
-                        self.fault_injector.fire(name, index,
-                                                 in_worker=False)
-                    with profiled(self.profile_dir,
-                                  "{}.attempt{}".format(name, index)):
-                        result = task()
-                except ResourceBudgetExceeded as exc:
-                    record.status = BUDGET
-                    record.error = str(exc)
-                    record.bound_reached = getattr(exc, "bound_reached", 0)
-                except Exception as exc:  # noqa: BLE001 - isolation boundary
-                    record.status = CRASHED
-                    record.error = "{}: {}".format(type(exc).__name__, exc)
-                else:
-                    absorb_result(record, result)
+                absorb_result(record, result)
             extra.update(status=record.status, bound=record.bound_reached)
         record.elapsed = time.perf_counter() - start
         return record

@@ -24,8 +24,8 @@ class ObjectiveTask:
     With ``cache_dir`` set, the task participates in the outcome cache
     (:mod:`repro.cache`): the supervisor consults the store before the
     task runs, and the task writes its verdict back *from wherever it
-    executes* — the worker process under process isolation, the calling
-    process inline — so a crash-killed supervisor still keeps the
+    executes* — a pool worker at ``jobs=N``, the calling process
+    inline — so a crash-killed supervisor still keeps the
     worker's finished proofs. ``cache_resume_base`` is the cached proved
     bound a resumed check continues from; the write-back path refuses to
     extend a proof across a gap (a hand-set ``start_cycle`` without a

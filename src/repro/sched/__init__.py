@@ -3,9 +3,10 @@
 Two layers:
 
 * :mod:`~repro.sched.pool` — :class:`PersistentWorkerPool`: N check
-  workers spawned once, each serving tasks over its own pipe with the
-  crash-isolation guarantees of the fork-per-attempt runner (hard
-  timeout kill + respawn, ``RLIMIT_AS`` at spawn, EOF-as-crash).
+  workers spawned once, each serving tasks over its own pipe — the one
+  process-isolation mechanism (hard timeout kill + respawn,
+  ``RLIMIT_AS`` at spawn, EOF-as-crash, a one-shot fork proxy for
+  tasks that cannot be pickled).
 * :mod:`~repro.sched.scheduler` — :class:`AuditScheduler`: the one
   orchestrator of Algorithm 1, a dynamic task DAG across registers and
   designs, run by an inline executor (``jobs=None``) or on the pool,
@@ -14,9 +15,8 @@ Two layers:
   per-design telemetry subtrees.
 
 Entry points: every ``TrojanDetector.run()`` goes through the scheduler
-(``AuditConfig(jobs=N)`` or ``CheckRunner.configure(workers=N)`` picks
-the pool); :class:`AuditScheduler` directly schedules many designs at
-once (the ``repro bench`` path).
+(``AuditConfig(jobs=N)`` picks the pool); :class:`AuditScheduler`
+directly schedules many designs at once (the ``repro bench`` path).
 """
 
 from repro.sched.pool import PersistentWorkerPool, PoolEvent

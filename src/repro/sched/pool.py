@@ -1,23 +1,34 @@
 """Persistent worker pool: spawn once, feed tasks over pipes.
 
-PR 1's :func:`~repro.runner.worker.run_in_process` pays one ``fork`` +
-interpreter teardown per *attempt* — fine for isolating a dozen checks,
-ruinous for an audit fleet running thousands. :class:`PersistentWorkerPool`
+The one place a check leaves the process. :class:`PersistentWorkerPool`
 spawns its workers **once**; each worker loops on its own duplex pipe,
-pulling one task at a time and sending back the same tagged-tuple
-protocol the fork-per-attempt worker speaks (``("ok", result)`` /
-``("budget", msg, bound)`` / ``("crashed", msg)``, plus the optional
-trailing telemetry dict). The crash-isolation guarantees carry over:
+pulling one task at a time and sending back a tagged-tuple protocol:
+
+* ``("ok", result)`` — the engine returned a result object;
+* ``("budget", message, bound_reached)`` — it raised
+  :class:`~repro.errors.ResourceBudgetExceeded`;
+* ``("crashed", message)`` — it raised anything else (including
+  ``MemoryError`` from the rlimit cap), or the worker died without
+  sending (segfault, ``os._exit``, OOM-kill) — detected as EOF on the
+  pipe;
+* ``("timeout", message)`` — the supervisor killed the worker after
+  the hard timeout.
+
+The crash-isolation guarantees:
 
 * a task that raises is caught *inside* the worker, reported as a
   protocol tuple, and the worker lives on to serve the next task;
-* a worker that dies outright (segfault, ``os._exit``, OOM-kill) is
-  detected as EOF on its pipe, reported as ``("crashed", ...)``, and
+* a worker that dies outright is reported as ``("crashed", ...)`` and
   **respawned** so the pool never shrinks;
 * a task that overruns its hard deadline gets its worker killed
   (terminate → kill) and respawned, reported as ``("timeout", ...)``;
 * ``RLIMIT_AS`` is installed once per worker at spawn (the cap is
   per-process and survives across tasks).
+
+A task that cannot be pickled (a ``RegisterSpec`` whose valid ways are
+lambdas, as every built-in design's are) rides a ``fork`` into a
+one-shot proxy child instead; it runs the same per-task body
+(:func:`_run_task`) under the same deadline and memory cap.
 
 Scheduling stays on the supervisor side: the pool exposes *assignment*
 (:meth:`submit` hands one task to one idle worker) and *observation*
@@ -25,10 +36,11 @@ Scheduling stays on the supervisor side: the pool exposes *assignment*
 else. Priorities, retries, caching and DAG bookkeeping belong to
 :class:`~repro.sched.scheduler.AuditScheduler`.
 
-Telemetry: when ``collect_events`` is set, each worker buffers its spans
-in a fresh :class:`~repro.obs.tracer.BufferTracer` per task and ships
-them with the result, exactly like the fork-per-attempt protocol; a
-killed worker loses the in-flight buffer by construction.
+Telemetry: when ``collect_events`` is set, each task's spans are
+buffered in a fresh :class:`~repro.obs.tracer.BufferTracer` and one
+extra element is appended to the tuple — a dict ``{"events": [...],
+"counters": {...}}`` — which the supervisor grafts under its attempt
+span. A killed worker loses the in-flight buffer by construction.
 """
 
 from __future__ import annotations
@@ -42,7 +54,6 @@ from multiprocessing.connection import wait as _conn_wait
 from repro.errors import ReproError, ResourceBudgetExceeded
 from repro.obs.profiling import profiled
 from repro.obs.tracer import NULL_TRACER, BufferTracer, set_tracer
-from repro.runner.worker import _apply_memory_cap
 
 _KILL_GRACE = 5.0  # seconds to wait after terminate() before SIGKILL
 
@@ -50,81 +61,31 @@ EXIT = "exit"
 TASK = "task"
 
 
-def _pool_worker_main(conn, memory_bytes, injector):
-    """Worker entry point: serve tasks from the pipe until told to exit.
-
-    The worker inherits the parent's global tracer on fork — including
-    an open trace-file handle it must never write to; it is replaced
-    before any task runs and per task afterwards.
-    """
-    set_tracer(NULL_TRACER)
-    if memory_bytes is not None:
-        _apply_memory_cap(memory_bytes)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if not message or message[0] == EXIT:
-            break
-        (_kind, task_id, task, name, attempt_index, collect_events,
-         profile_dir) = message
-        buffer = BufferTracer() if collect_events else None
-        set_tracer(buffer if collect_events else NULL_TRACER)
-
-        def payload(base):
-            if buffer is None:
-                return base
-            return base + ({
-                "events": buffer.drain(),
-                "counters": buffer.metrics.snapshot()["counters"],
-            },)
-
-        try:
-            if injector is not None:
-                injector.fire(name, attempt_index, in_worker=True)
-            with profiled(profile_dir,
-                          "{}.attempt{}".format(name, attempt_index)):
-                result = task()
-            out = payload(("ok", result))
-        except ResourceBudgetExceeded as exc:
-            out = payload(
-                ("budget", str(exc), getattr(exc, "bound_reached", 0))
-            )
-        except MemoryError as exc:
-            # building the telemetry payload may itself need memory the
-            # rlimit no longer grants; report bare
-            out = ("crashed", "MemoryError: {}".format(exc))
-        except BaseException as exc:  # noqa: BLE001 - isolation boundary
-            out = payload(
-                ("crashed", "{}: {}".format(type(exc).__name__, exc))
-            )
-        set_tracer(NULL_TRACER)
-        try:
-            conn.send((task_id, out))
-        except (OSError, ValueError):
-            break  # parent is gone; nothing left to serve
+def _apply_memory_cap(memory_bytes):
+    """Install ``RLIMIT_AS`` in this (worker) process; ``None`` keeps
+    the inherited limit."""
+    if memory_bytes is None:
+        return
     try:
-        conn.close()
-    except OSError:
-        pass
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    new_hard = hard if hard != resource.RLIM_INFINITY else memory_bytes
+    resource.setrlimit(
+        resource.RLIMIT_AS, (min(memory_bytes, new_hard), new_hard)
+    )
 
 
-def _ephemeral_main(conn, task_id, task, name, attempt_index, memory_bytes,
-                    injector, collect_events, profile_dir):
-    """One-shot fork worker for tasks that cannot cross a pipe.
+def _run_task(injector, task, name, attempt_index, collect_events,
+              profile_dir):
+    """Run one task in a worker; returns its protocol tuple.
 
-    Pool tasks are normally pickled into a persistent worker; a task
-    holding an unpicklable object (e.g. a ``RegisterSpec`` whose valid
-    ways are lambdas) instead rides a ``fork`` into a single-use child
-    that inherits it by copy-on-write — the same trick PR 1's
-    fork-per-attempt worker relies on. Protocol and crash semantics are
-    identical to :func:`_pool_worker_main`; the child serves exactly one
-    task and exits.
+    The per-task body of both worker kinds: swaps in a private tracer
+    (a buffer when the parent wants events shipped back), fires the
+    fault injector, runs the task under :func:`profiled`, and maps the
+    outcome to a tagged tuple (see the module docstring).
     """
-    set_tracer(NULL_TRACER)
-    if memory_bytes is not None:
-        _apply_memory_cap(memory_bytes)
     buffer = BufferTracer() if collect_events else None
     set_tracer(buffer if collect_events else NULL_TRACER)
 
@@ -142,21 +103,83 @@ def _ephemeral_main(conn, task_id, task, name, attempt_index, memory_bytes,
         with profiled(profile_dir,
                       "{}.attempt{}".format(name, attempt_index)):
             result = task()
-        out = payload(("ok", result))
+        return payload(("ok", result))
     except ResourceBudgetExceeded as exc:
-        out = payload(("budget", str(exc), getattr(exc, "bound_reached", 0)))
+        return payload(
+            ("budget", str(exc), getattr(exc, "bound_reached", 0))
+        )
     except MemoryError as exc:
-        out = ("crashed", "MemoryError: {}".format(exc))
+        # building the telemetry payload may itself need memory the
+        # rlimit no longer grants; report bare
+        return ("crashed", "MemoryError: {}".format(exc))
     except BaseException as exc:  # noqa: BLE001 - isolation boundary
-        out = payload(("crashed", "{}: {}".format(type(exc).__name__, exc)))
-    try:
-        conn.send((task_id, out))
-    except (OSError, ValueError):
-        pass
+        return payload(
+            ("crashed", "{}: {}".format(type(exc).__name__, exc))
+        )
+    finally:
+        set_tracer(NULL_TRACER)
+
+
+def _close(conn):
     try:
         conn.close()
     except OSError:
         pass
+
+
+def _reap(proc, kill):
+    """Join a child, terminating it first when ``kill``; SIGKILL if it
+    outlives the grace period."""
+    if kill:
+        proc.terminate()
+    proc.join(_KILL_GRACE)
+    if proc.is_alive():  # pragma: no cover - terminate sufficed
+        proc.kill()
+        proc.join()
+
+
+def _pool_worker_main(conn, memory_bytes, injector):
+    """Worker entry point: serve tasks from the pipe until told to exit.
+
+    The worker inherits the parent's global tracer on fork — including
+    an open trace-file handle it must never write to; it is replaced
+    before any task runs.
+    """
+    set_tracer(NULL_TRACER)
+    _apply_memory_cap(memory_bytes)
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if not message or message[0] == EXIT:
+            break
+        _kind, task_id, *task_args = message
+        out = _run_task(injector, *task_args)
+        try:
+            conn.send((task_id, out))
+        except (OSError, ValueError):
+            break  # parent is gone; nothing left to serve
+    _close(conn)
+
+
+def _ephemeral_main(conn, task_id, memory_bytes, injector, task_args):
+    """One-shot fork worker for tasks that cannot cross a pipe.
+
+    Pool tasks are normally pickled into a persistent worker; a task
+    holding an unpicklable object instead rides a ``fork`` into a
+    single-use child that inherits it by copy-on-write. Protocol and
+    crash semantics are identical to :func:`_pool_worker_main`; the
+    child serves exactly one task and exits.
+    """
+    set_tracer(NULL_TRACER)
+    _apply_memory_cap(memory_bytes)
+    out = _run_task(injector, *task_args)
+    try:
+        conn.send((task_id, out))
+    except (OSError, ValueError):
+        pass
+    _close(conn)
 
 
 def _context():
@@ -227,13 +250,13 @@ class PersistentWorkerPool:
     """
 
     def __init__(self, size, memory_bytes=None, injector=None,
-                 mp_context=None, collect_events=False, profile_dir=None):
+                 collect_events=False, profile_dir=None):
         if size < 1:
             raise ReproError("pool size must be >= 1, got {}".format(size))
         self.size = size
         self.memory_bytes = memory_bytes
         self.injector = injector
-        self.ctx = mp_context if mp_context is not None else _context()
+        self.ctx = _context()
         self.collect_events = collect_events
         self.profile_dir = profile_dir
         self._workers = []
@@ -264,15 +287,8 @@ class PersistentWorkerPool:
 
     def _kill(self, worker):
         self.stats["kills"] += 1
-        worker.proc.terminate()
-        worker.proc.join(_KILL_GRACE)
-        if worker.proc.is_alive():  # pragma: no cover - terminate sufficed
-            worker.proc.kill()
-            worker.proc.join()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
+        _reap(worker.proc, kill=True)
+        _close(worker.conn)
 
     def _replace(self, worker):
         self._kill(worker)
@@ -294,15 +310,8 @@ class PersistentWorkerPool:
         worker.name = ""
         if kill:
             self.stats["kills"] += 1
-            proc.terminate()
-        proc.join(_KILL_GRACE)
-        if proc.is_alive():  # pragma: no cover - terminate sufficed
-            proc.kill()
-            proc.join()
-        try:
-            conn.close()
-        except OSError:
-            pass
+        _reap(proc, kill=kill)
+        _close(conn)
 
     def shutdown(self):
         """Stop every worker: idle ones exit politely, busy ones die."""
@@ -321,10 +330,7 @@ class PersistentWorkerPool:
             if worker.proc.is_alive():
                 self._kill(worker)
             else:
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
+                _close(worker.conn)
         self._workers = []
 
     def __enter__(self):
@@ -358,11 +364,10 @@ class PersistentWorkerPool:
         worker = next((w for w in self._workers if w.idle), None)
         if worker is None:
             return False
+        task_args = (task, name, attempt_index, self.collect_events,
+                     self.profile_dir)
         try:
-            worker.conn.send((
-                TASK, task_id, task, name, attempt_index,
-                self.collect_events, self.profile_dir,
-            ))
+            worker.conn.send((TASK, task_id) + task_args)
         except (pickle.PicklingError, AttributeError, TypeError):
             # Connection.send pickles the whole message before writing a
             # single byte, so the persistent worker's pipe is still
@@ -373,9 +378,8 @@ class PersistentWorkerPool:
             parent_conn, child_conn = self.ctx.Pipe(duplex=False)
             proc = self.ctx.Process(
                 target=_ephemeral_main,
-                args=(child_conn, task_id, task, name, attempt_index,
-                      self.memory_bytes, self.injector,
-                      self.collect_events, self.profile_dir),
+                args=(child_conn, task_id, self.memory_bytes,
+                      self.injector, task_args),
                 daemon=True,
             )
             proc.start()

@@ -6,16 +6,18 @@ registers' shadow corruption, Eq. (4) bypass, stopping at the first
 Trojan — for one or more designs. It has two executors:
 
 * **inline** (``jobs=None``): the highest-priority ready check runs
-  synchronously through its request's own
-  :class:`~repro.runner.supervisor.CheckRunner`, which handles
-  isolation, the outcome cache, retries, fault injection and spans.
+  synchronously, in this process, through its request's own
+  :class:`~repro.runner.supervisor.CheckRunner`, which handles the
+  outcome cache, retries, fault injection and spans.
   Checks run one at a time in Algorithm 1's order, so inline does
   exactly the work the paper's loop does and never speculates. BMC
   checks of one register share a live
   :class:`~repro.bmc.session.SolverSession`.
 * **pool** (``jobs=N``): checks run on a
   :class:`~repro.sched.pool.PersistentWorkerPool` of ``N`` workers,
-  concurrently across registers and designs.
+  concurrently across registers and designs. This is the one place a
+  check is process-isolated: the runner's hard timeout and memory cap
+  hold here and only here (``jobs=1`` isolates without parallelism).
 
 Both executors produce the same report. Three ideas make that possible:
 
@@ -75,13 +77,8 @@ from repro.runner import AuditCheckpoint
 from repro.runner.checkpoint import warn_checkpoint_lost
 from repro.runner.execution import CheckExecution
 from repro.runner.outcome import AttemptRecord, CheckOutcome
-from repro.runner.policy import CRASHED
-from repro.runner.supervisor import (
-    INLINE,
-    PROCESS,
-    absorb_message,
-    strip_telemetry,
-)
+from repro.runner.policy import BUDGET, CRASHED, TIMEOUT
+from repro.runner.supervisor import PROCESS, absorb_result
 from repro.runner.tasks import GroupObjectiveTask
 from repro.sched.pool import PersistentWorkerPool
 from repro.screens import attach_evidence
@@ -100,6 +97,44 @@ KIND_RANK = {TRACKING: 0, GROUP: 0, CORRUPTION: 1, SHADOW: 2, BYPASS: 3}
 CLAIM_POLL = 0.05
 #: Idle wait when nothing is running (deferred work pending).
 IDLE_POLL = 0.2
+
+
+def absorb_message(record, message, name, tracer):
+    """Interpret a pool worker's protocol tuple onto an
+    :class:`AttemptRecord` (see :mod:`repro.sched.pool`): ``("ok",
+    result)``, ``("budget", message, bound)``, ``("timeout", message)``,
+    ``("crashed", message)``.
+
+    A trailing telemetry dict is stripped first: its events are grafted
+    under the tracer's current (attempt) span and its counters folded
+    into this process's registry. Supervisor-generated tuples (timeout,
+    EOF-crash) carry none.
+    """
+    if isinstance(message[-1], dict) and "events" in message[-1]:
+        telemetry = message[-1]
+        tracer.absorb(telemetry.get("events"))
+        tracer.metrics.merge_counters(telemetry.get("counters") or {})
+        message = message[:-1]
+    kind = message[0]
+    if kind == "ok":
+        absorb_result(record, message[1])
+    elif kind == "budget":
+        record.status = BUDGET
+        record.error = message[1]
+        record.bound_reached = message[2]
+    elif kind == "timeout":
+        record.status = TIMEOUT
+        record.error = message[1]
+        if tracer.enabled:
+            # the worker was killed: its event buffer died with it
+            tracer.point("runner.kill", check=name, reason="timeout")
+            tracer.metrics.counter("runner.kills").inc()
+    else:  # crashed
+        record.status = CRASHED
+        record.error = message[1]
+        if tracer.enabled:
+            tracer.point("runner.crash", check=name, error=message[1])
+            tracer.metrics.counter("runner.crashes").inc()
 
 
 class AuditRequest:
@@ -227,13 +262,13 @@ class AuditScheduler:
     pool of ``jobs`` workers.
 
     Inline, every check runs through its request's own runner. On the
-    pool, pool-wide settings (memory cap, fault injector, profile dir,
-    multiprocessing context) come from the **first** request's runner;
-    per-node settings (retry policy, hard timeouts, cache directory)
-    honour each request's own runner and detector.
+    pool, pool-wide settings (memory cap, fault injector, profile dir)
+    come from the **first** request's runner; per-node settings (retry
+    policy, hard timeouts, cache directory) honour each request's own
+    runner and detector.
     """
 
-    def __init__(self, requests, jobs=None, mp_context=None):
+    def __init__(self, requests, jobs=None):
         if not requests:
             raise ReproError("no audits to schedule")
         if jobs is not None and jobs < 1:
@@ -242,7 +277,6 @@ class AuditScheduler:
             )
         self.requests = list(requests)
         self.jobs = jobs
-        self.mp_context = mp_context
         self.audits = []
         self.pool = None
         self.tracer = get_tracer()
@@ -271,7 +305,6 @@ class AuditScheduler:
                     self.jobs,
                     memory_bytes=first.limits.memory_bytes,
                     injector=first.fault_injector,
-                    mp_context=self.mp_context or first.mp_context,
                     collect_events=self.tracer.enabled,
                     profile_dir=first.profile_dir,
                 )
@@ -394,9 +427,9 @@ class AuditScheduler:
 
     def _session(self, node):
         """The register's live :class:`SolverSession` for an inline BMC
-        tracking/corruption/shadow check with an inline runner, else
-        ``None``. Built when first needed; dropped at commit or discard,
-        so at most one register holds a live solver at a time."""
+        tracking/corruption/shadow check, else ``None``. Built when
+        first needed; dropped at commit or discard, so at most one
+        register holds a live solver at a time."""
         reg = node.reg
         det = reg.audit.detector
         if (
@@ -404,7 +437,6 @@ class AuditScheduler:
             or node.kind not in (TRACKING, CORRUPTION, SHADOW)
             or not det.sessions
             or det.engine != "bmc"
-            or det.runner.isolation != INLINE
         ):
             return None
         if reg.session is None:
@@ -449,8 +481,7 @@ class AuditScheduler:
         )
         record._result = None
         tracer = node.tracer if node.tracer is not None else NULL_TRACER
-        message = strip_telemetry(tracer, event.message)
-        absorb_message(record, message, node.name, tracer)
+        absorb_message(record, event.message, node.name, tracer)
         record.elapsed = time.perf_counter() - node.attempt_started
         if node.tracer is not None:
             node.tracer.end(

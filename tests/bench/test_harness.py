@@ -52,11 +52,11 @@ class TestDetectionRun:
         assert row.extra["outcome"].ok
 
     def test_supervised_crash_yields_row_not_exception(self):
+        from repro.bench.harness import audit_sweep
         from repro.runner import CheckRunner, FaultInjector
 
         netlist, spec = design_and_spec()
         runner = CheckRunner(
-            isolation="process",
             fault_injector=FaultInjector.crash_on("toy:bmc"),
         )
         row = detection_run(
@@ -67,6 +67,20 @@ class TestDetectionRun:
         assert row.status == "crashed"
         assert row.verdict == "crashed"
         assert not row.extra["outcome"].ok
+        # a sweep on the pool: the worker running the check dies, the
+        # sweep still yields a (degraded) row
+        runner = CheckRunner(
+            fault_injector=FaultInjector.crash_on("corruption(secret)"),
+        )
+        (row,) = audit_sweep([("toy", netlist, spec)], jobs=1,
+                             max_cycles=15, time_budget=30, runner=runner)
+        assert not row.trojan_found
+        assert row.status == "degraded"
+        outcome = row.report.findings["secret"].check_outcomes[
+            "corruption(secret)"
+        ]
+        assert outcome.status == "crashed"
+        assert "exit code" in outcome.error
 
 
 class TestCachedDetectionRun:

@@ -1,12 +1,9 @@
-"""CacheBackend interface: local/memory/null backends and the fallback
-wrapper's circuit breaker + degradation guarantees."""
+"""CacheBackend interface: local/memory/null backends."""
 
 import pytest
 
 from repro.cache import OutcomeCache
 from repro.cache.backend import (
-    CacheBackend,
-    FallbackBackend,
     LocalBackend,
     MemoryBackend,
     NullBackend,
@@ -20,49 +17,6 @@ class FakeResult:
         self.bound = bound
         self.witness = witness
         self.elapsed = elapsed
-
-
-class FakeClock:
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
-class FlakyBackend(CacheBackend):
-    """Raises on demand; counts the calls that reached it."""
-
-    name = "flaky"
-
-    def __init__(self):
-        super().__init__()
-        self.failing = True
-        self.calls = []
-        self.entries = {}
-
-    def _maybe_fail(self, op):
-        self.calls.append(op)
-        if self.failing:
-            raise ConnectionError("backend unreachable")
-
-    def get(self, key):
-        self._maybe_fail("get")
-        return self.entries.get(key)
-
-    def put(self, key, **fields):
-        self._maybe_fail("put")
-        self.entries[key] = fields
-
-    def claim(self, key):
-        self._maybe_fail("claim")
-        return True
-
-    def release(self, key):
-        self._maybe_fail("release")
 
 
 class TestLocalBackend:
@@ -134,93 +88,6 @@ class TestNullBackend:
         backend.put("k", proved_bound=9)
         assert backend.get("k") is None
         assert backend.claim("k") and backend.claim("k")
-
-
-class TestFallbackBackend:
-    def make(self, failures=3, cooldown=30.0, local=None):
-        clock = FakeClock()
-        primary = FlakyBackend()
-        wrapper = FallbackBackend(
-            primary, local=local, slow_seconds=0.5,
-            failures=failures, cooldown=cooldown, clock=clock,
-        )
-        return wrapper, primary, clock
-
-    def test_failure_degrades_to_local(self):
-        local = MemoryBackend()
-        wrapper, primary, _clock = self.make(local=local)
-        local.put("k", proved_bound=6)
-        entry = wrapper.get("k")  # primary raises -> local answers
-        assert entry.proved_bound == 6
-        assert wrapper.stats["primary_failures"] == 1
-        assert wrapper.stats["degraded_calls"] == 1
-
-    def test_breaker_opens_after_consecutive_failures(self):
-        wrapper, primary, clock = self.make(failures=3, cooldown=30.0)
-        for _ in range(3):
-            wrapper.get("k")
-        assert wrapper.degraded
-        assert wrapper.stats["breaker_opens"] == 1
-        # while open, the primary is not even attempted
-        attempts = len(primary.calls)
-        wrapper.get("k")
-        wrapper.claim("k")
-        assert len(primary.calls) == attempts
-
-    def test_breaker_probes_after_cooldown_and_closes(self):
-        wrapper, primary, clock = self.make(failures=2, cooldown=30.0)
-        wrapper.get("k")
-        wrapper.get("k")
-        assert wrapper.degraded
-        primary.failing = False
-        clock.advance(31.0)
-        assert not wrapper.degraded  # cooldown elapsed: probing again
-        wrapper.get("k")             # probe succeeds
-        assert wrapper.stats["breaker_closes"] == 1
-        assert not wrapper.degraded
-
-    def test_slow_primary_counts_toward_the_breaker(self):
-        clock = FakeClock()
-        primary = MemoryBackend()
-        slow_get = primary.get
-
-        def get(key):
-            clock.advance(1.0)  # slower than slow_seconds
-            return slow_get(key)
-
-        primary.get = get
-        wrapper = FallbackBackend(primary, slow_seconds=0.5, failures=2,
-                                  cooldown=30.0, clock=clock)
-        wrapper.get("k")
-        wrapper.get("k")
-        assert wrapper.degraded
-        assert wrapper.stats["primary_failures"] == 2
-
-    def test_put_mirrors_to_local_always(self):
-        local = MemoryBackend()
-        wrapper, primary, _clock = self.make(local=local)
-        primary.failing = False
-        wrapper.put("k", proved_bound=3)
-        assert local.get("k").proved_bound == 3       # mirrored
-        assert primary.entries["k"]["proved_bound"] == 3
-        primary.failing = True
-        wrapper.put("k2", proved_bound=4)
-        assert local.get("k2").proved_bound == 4      # survives failure
-
-    def test_claim_defaults_to_granting_when_everything_fails(self):
-        # no local side: the floor is the NullBackend, which always
-        # grants — cache trouble must not stop the solve
-        wrapper, primary, _clock = self.make()
-        assert wrapper.claim("k") is True
-
-    def test_release_all_swallows_backend_errors(self):
-        wrapper, primary, _clock = self.make()
-
-        def boom():
-            raise ConnectionError("down")
-
-        primary.release_all = boom
-        wrapper.release_all()  # must not raise
 
 
 class TestRecordResultContract:

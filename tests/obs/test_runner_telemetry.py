@@ -1,17 +1,20 @@
 """Supervisor telemetry integration: worker event shipping, cache points.
 
 Exercises the real supervision stack under an installed tracer — the
-structural re-parenting path (worker BufferTracer -> result pipe ->
-Tracer.absorb under the attempt span) and the cache disposition points.
+structural re-parenting path (pool worker BufferTracer -> result pipe
+-> Tracer.absorb under the attempt span) and the cache disposition
+points.
 """
 
+from repro.core import AuditConfig, TrojanDetector
 from repro.netlist import Circuit
 from repro.obs import Tracer, get_tracer, tracing
 from repro.obs.summary import build_tree, load_trace, summarize
+from repro.properties import DesignSpec
 from repro.runner import CheckRunner, ObjectiveTask
-from repro.runner.supervisor import PROCESS
+from repro.sched import AuditRequest, AuditScheduler
 
-from tests.conftest import build_counter
+from tests.conftest import build_counter, build_secret_design, secret_spec
 
 
 def counter_task(max_cycles=8, cache_dir=None):
@@ -63,20 +66,40 @@ class TestInlineTelemetry:
         assert counters.get("sat.propagations", 0) > 0
 
 
+def pool_audit(trace=None):
+    """A one-worker pool audit (``jobs=1``: every check runs in a worker
+    process) of the miniature Trojaned design; returns the scheduler."""
+    nl = build_secret_design(trojan=True)
+    spec = DesignSpec(name=nl.name, critical={"secret": secret_spec()})
+    config = AuditConfig(max_cycles=10, time_budget=30, jobs=1)
+    detector = TrojanDetector(nl, spec, config=config)
+    scheduler = AuditScheduler([AuditRequest(detector)], jobs=1)
+    if trace is None:
+        scheduler.run()
+        return scheduler
+    tracer = Tracer(trace)
+    with tracing(tracer):
+        scheduler.run()
+    tracer.close()
+    return scheduler
+
+
 class TestProcessTelemetry:
     def test_worker_events_reparented_under_attempt(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        runner = CheckRunner(isolation=PROCESS)
-        outcome = run_traced(path, runner, counter_task(), "count")
-        assert outcome.ok
+        report = pool_audit(path).audits[0].report
+        assert report.trojan_found
         events, _meta, bad = load_trace(path)
         assert bad == 0
         roots, spans, dropped = build_tree(events)
         assert dropped == 0
         attempt = next(
-            s for s in spans.values() if s.name == "runner.attempt"
+            s for s in spans.values()
+            if s.name == "runner.attempt"
+            and s.attrs["check"] == "corruption(secret)"
         )
-        # the engine ran in the child yet its spans sit under the attempt
+        assert attempt.attrs["mode"] == "process"
+        # the engine ran in the worker yet its spans sit under the attempt
         child_names = {c.name for c in attempt.children}
         assert "bmc.check" in child_names
         bmc = next(c for c in attempt.children if c.name == "bmc.check")
@@ -89,20 +112,22 @@ class TestProcessTelemetry:
         # The telemetry trailing element is stripped before the message
         # is interpreted; the verdict must be the engine result.
         path = tmp_path / "t.jsonl"
-        runner = CheckRunner(isolation=PROCESS)
-        outcome = run_traced(path, runner, counter_task(), "count")
+        finding = pool_audit(path).audits[0].report.findings["secret"]
+        outcome = finding.check_outcomes["corruption(secret)"]
         assert outcome.result.status == "violated"
-        assert outcome.result.bound == 4
+        assert outcome.result.bound == finding.corruption.bound
 
     def test_untraced_process_run_ships_no_events(self):
         # collect_events is off when tracing is disabled: same verdict,
-        # no telemetry machinery in the child.
+        # no telemetry machinery in the worker.
         assert get_tracer().enabled is False
-        outcome = CheckRunner(isolation=PROCESS).run(
-            counter_task(), name="count"
-        )
+        scheduler = pool_audit()
+        assert scheduler.pool.collect_events is False
+        finding = scheduler.audits[0].report.findings["secret"]
+        outcome = finding.check_outcomes["corruption(secret)"]
         assert outcome.ok
         assert outcome.result.status == "violated"
+        assert outcome.attempts[0].mode == "process"
 
 
 class TestCacheTelemetry:

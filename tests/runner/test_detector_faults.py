@@ -60,12 +60,10 @@ class TestCrashIsolation:
     def test_engine_crash_yields_partial_verdict(self):
         nl, spec = secret_setup(trojan=True)
         runner = CheckRunner(
-            isolation="process",
             fault_injector=FaultInjector.crash_on("corruption(secret)"),
         )
-        report = TrojanDetector(
-            nl, spec, max_cycles=15, time_budget=60, runner=runner
-        ).run()
+        config = AuditConfig(max_cycles=15, time_budget=60, jobs=1)
+        report = TrojanDetector(nl, spec, config=config, runner=runner).run()
         finding = report.findings["secret"]
         assert finding.status == "degraded"
         assert not finding.trojan_found
@@ -78,12 +76,10 @@ class TestCrashIsolation:
     def test_crash_on_one_register_spares_the_others(self):
         nl, spec = dual_setup()
         runner = CheckRunner(
-            isolation="process",
             fault_injector=FaultInjector.crash_on("corruption(rega)"),
         )
-        report = TrojanDetector(
-            nl, spec, max_cycles=6, time_budget=30, runner=runner
-        ).run()
+        config = AuditConfig(max_cycles=6, time_budget=30, jobs=1)
+        report = TrojanDetector(nl, spec, config=config, runner=runner).run()
         assert report.findings["rega"].status == "degraded"
         assert report.findings["regb"].status == "ok"
         assert report.findings["regb"].corruption.status == "proved"
@@ -103,15 +99,13 @@ class TestHardTimeout:
     def test_hang_past_timeout_yields_timeout_verdict(self):
         nl, spec = secret_setup(trojan=True)
         runner = CheckRunner(
-            isolation="process",
             limits=ResourceLimits(wall_timeout=0.5),
             fault_injector=FaultInjector.stall_on(
                 "corruption(secret)", seconds=120.0
             ),
         )
-        report = TrojanDetector(
-            nl, spec, max_cycles=15, time_budget=60, runner=runner
-        ).run()
+        config = AuditConfig(max_cycles=15, time_budget=60, jobs=1)
+        report = TrojanDetector(nl, spec, config=config, runner=runner).run()
         outcome = report.findings["secret"].check_outcomes[
             "corruption(secret)"
         ]

@@ -80,7 +80,7 @@ class TestGoldenReports:
     """``report.to_json(scrub=True)`` of the serial detector loop, frozen
     before that loop was replaced by the scheduler's inline executor."""
 
-    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
     @pytest.mark.parametrize("case", GOLDEN_CASES)
     def test_reproduces_fixture(self, case, jobs):
         variant, feature = case.split("-", 1)
@@ -171,17 +171,35 @@ class TestSerialParity:
         parallel = audit("trojan", jobs=2, **kwargs)
         assert comparable(serial) == comparable(parallel)
 
-    def test_runner_workers_n_routes_through_scheduler(self):
-        # the PR 1 bugfix: workers=N>1 must drive the pool, never be a lie
+    def test_runner_workers_n_routes_through_scheduler(self, monkeypatch):
+        # config.jobs=N is the one setting that sizes the pool: the
+        # detector's audit must drive N workers, never run serially
+        from repro.sched import scheduler as scheduler_module
+
+        sizes = []
+        real = scheduler_module.PersistentWorkerPool
+
+        def spy(size, **kwargs):
+            sizes.append(size)
+            return real(size, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "PersistentWorkerPool", spy)
         nl, spec = design_for("trojan")
-        runner = CheckRunner.configure(workers=3, check_timeout=120)
+        runner = CheckRunner.configure(check_timeout=120)
         detector = TrojanDetector(
-            nl, spec, config=AuditConfig(max_cycles=10, time_budget=60),
+            nl, spec,
+            config=AuditConfig(max_cycles=10, time_budget=60, jobs=3),
             runner=runner,
         )
-        assert detector.scheduler_jobs == 3
         report = detector.run()
         assert report.trojan_found
+        assert sizes == [3]
+        finding = report.findings["secret"]
+        assert all(
+            attempt.mode == "process"
+            for outcome in finding.check_outcomes.values()
+            for attempt in outcome.attempts
+        )
 
 
 class TestCheckpointMidPool:

@@ -50,7 +50,7 @@ def test_audit_with_supervision_flags():
     code, text = run_cli([
         "audit", "--design", "mc8051-t700", "--engine", "bmc",
         "--max-cycles", "8", "--register", "acc",
-        "--workers", "1", "--check-timeout", "60", "--retries", "1",
+        "--jobs", "1", "--check-timeout", "60", "--retries", "1",
     ])
     assert code == 1
     assert "TROJAN FOUND" in text
@@ -333,6 +333,23 @@ class TestSharedFlags:
     def test_audit_rejects_bad_jobs(self):
         with pytest.raises(SystemExit, match="--jobs must be >= 1"):
             run_cli(["audit", "--design", "router", "--jobs", "0"])
+
+    @pytest.mark.parametrize("command", ["audit", "bench"])
+    def test_check_timeout_needs_jobs(self, command):
+        # only a pool worker can be killed: without --jobs the hard
+        # timeout would be silently ignored, so it is refused
+        with pytest.raises(SystemExit, match="--check-timeout needs --jobs"):
+            run_cli([command, "--design", "mc8051-t800", "--max-cycles", "8",
+                     "--check-timeout", "0.001"])
+
+    @pytest.mark.parametrize("command", ["audit", "bench"])
+    def test_negative_retries_rejected(self, command):
+        with pytest.raises(SystemExit, match="--retries must be >= 0"):
+            run_cli([command, "--design", "router", "--retries", "-1"])
+
+    def test_audit_has_no_workers_flag(self):
+        with pytest.raises(SystemExit):
+            run_cli(["audit", "--design", "router", "--workers", "1"])
 
     def test_lint_rejects_cache_dir_instead_of_ignoring_it(self):
         with pytest.raises(SystemExit, match="no outcome cache"):
