@@ -40,6 +40,8 @@ class Netlist:
             CONST0: ("const", 0),
             CONST1: ("const", 1),
         }
+        # (cells copy, order) memo of traversal.topological_cells
+        self._topo = None
 
     # ------------------------------------------------------------------ nets
 
@@ -242,6 +244,7 @@ class Netlist:
         twin.registers = {k: list(v) for k, v in self.registers.items()}
         twin.probes = {k: list(v) for k, v in self.probes.items()}
         twin._driver = dict(self._driver)
+        twin._topo = self._topo
         return twin
 
     # ----------------------------------------------------------------- query

@@ -14,6 +14,7 @@ structural queries everything else is built on:
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from repro.errors import CombinationalLoopError
@@ -25,8 +26,17 @@ def topological_cells(netlist):
     Kahn's algorithm over the cell dependency graph. Inputs, constants and
     flop Q pins are sources. Raises :class:`CombinationalLoopError` if the
     combinational logic is cyclic.
+
+    The order is memoised on the netlist together with a copy of
+    ``netlist.cells``; a cell list that no longer equals the copy (an
+    ``add_cell``, or a cell replaced in place) recomputes it. Only cells
+    decide the order: whether a cell's input is driven by a cell is fixed
+    by the cell list. Every call returns a fresh list.
     """
     cells = netlist.cells
+    memo = netlist._topo
+    if memo is not None and memo[0] == cells:
+        return memo[1].tolist()
     # net -> list of cell indexes that consume it
     consumers = {}
     indegree = [0] * len(cells)
@@ -48,6 +58,7 @@ def topological_cells(netlist):
     if len(order) != len(cells):
         looped = [cells[i].output for i, d in enumerate(indegree) if d > 0]
         raise CombinationalLoopError(looped)
+    netlist._topo = (list(cells), array("i", order))
     return order
 
 

@@ -2,7 +2,8 @@
  *
  * A compact MiniSat-family solver with exactly the feature set the
  * Python solver (repro/sat/solver.py) exposes to the BMC layer:
- * incremental add_clause/new_var between solves, assumptions placed as
+ * incremental variables and clauses between solves (handed over in
+ * batches by rsat_add_clauses), assumptions placed as
  * decision levels with failed-assumption cores, VSIDS + phase saving,
  * Luby restarts, LBD-tagged learnt clauses with a glue-protected
  * reduce, and cooperative conflict/time budgets. External literals are
@@ -208,7 +209,7 @@ void rsat_free(CSolver *s) {
     free(s);
 }
 
-int32_t rsat_new_var(CSolver *s) {
+static void new_var(CSolver *s) {
     if (s->nvars == s->cap_vars) {
         int32_t cap = s->cap_vars ? s->cap_vars * 2 : 1024;
         s->watches = (WList *)xrealloc(s->watches, 2 * cap * sizeof(WList));
@@ -242,7 +243,6 @@ int32_t rsat_new_var(CSolver *s) {
     s->heap_pos[v] = -1;
     s->seen[v] = 0;
     heap_insert(s, v);
-    return s->nvars; /* external 1-based index of the new variable */
 }
 
 static inline int8_t lit_value(const CSolver *s, int32_t l) {
@@ -471,8 +471,8 @@ static void reduce_db(CSolver *s) {
     s->max_learnts = s->max_learnts + s->max_learnts / 2;
 }
 
-int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
-    if (s->root_unsat) return 0;
+static void add_clause(CSolver *s, const int32_t *ext, int32_t n) {
+    if (s->root_unsat) return;
     backtrack(s, 0);
     /* dedup / tautology / root-simplify using seen[] as scratch */
     int32_t *tmp = (int32_t *)xrealloc(NULL, (n ? n : 1) * sizeof(int32_t));
@@ -495,21 +495,18 @@ int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
     }
     if (taut) {
         free(tmp);
-        return 1;
+        return;
     }
     if (m == 0) {
         free(tmp);
         s->root_unsat = 1;
-        return 0;
+        return;
     }
     if (m == 1) {
         enqueue(s, tmp[0], -1);
         free(tmp);
-        if (propagate(s) >= 0) {
-            s->root_unsat = 1;
-            return 0;
-        }
-        return 1;
+        if (propagate(s) >= 0) s->root_unsat = 1;
+        return;
     }
     int32_t cref = alloc_clause(s, tmp, m, -1);
     free(tmp);
@@ -520,7 +517,26 @@ int32_t rsat_add_clause(CSolver *s, const int32_t *ext, int32_t n) {
     }
     s->clauses[s->n_clauses++] = cref;
     watch_clause(s, cref);
-    return 1;
+}
+
+/* Batched transfer: grow to nvars variables, then add the 0-terminated
+ * clauses in flat[0..len) in order. A batch that holds clauses
+ * backtracks to the root first, as its first clause would, and grows
+ * only then: in an unbatched new_var/add_clause stream, the variables
+ * made after the first clause that follows a SAT answer enter the
+ * decision heap after that clause's backtrack (the wrapper flushes the
+ * variables made before it on their own). */
+void rsat_add_clauses(CSolver *s, int32_t nvars, const int32_t *flat,
+                      int64_t len) {
+    if (len > 0) backtrack(s, 0);
+    while (s->nvars < nvars) new_var(s);
+    int64_t start = 0;
+    for (int64_t i = 0; i < len; i++) {
+        if (flat[i] == 0) {
+            add_clause(s, flat + start, (int32_t)(i - start));
+            start = i + 1;
+        }
+    }
 }
 
 static int64_t luby(int64_t i) {
@@ -707,8 +723,6 @@ void rsat_model(CSolver *s, uint8_t *out) {
         out[v + 1] = s->assign[v] == 1;
 }
 
-void rsat_reset_to_root(CSolver *s) { backtrack(s, 0); }
-
 int32_t rsat_core_size(CSolver *s) { return s->core_sz; }
 
 void rsat_core(CSolver *s, int32_t *out) {
@@ -730,5 +744,4 @@ int64_t rsat_restarts(CSolver *s) { return s->restarts; }
 int64_t rsat_solve_calls(CSolver *s) { return s->solve_calls; }
 int64_t rsat_num_clauses(CSolver *s) { return s->n_clauses; }
 int64_t rsat_num_learnts(CSolver *s) { return s->n_learnts; }
-int32_t rsat_num_vars(CSolver *s) { return s->nvars; }
 int32_t rsat_root_unsat(CSolver *s) { return s->root_unsat; }

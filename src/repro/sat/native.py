@@ -3,22 +3,39 @@
 The pure-Python solver in :mod:`repro.sat.solver` is the reference
 implementation and always works; this module provides a drop-in
 accelerated backend when a C compiler is available. The C source ships
-in the package and is compiled *at runtime* — once per source revision,
-cached as a shared object keyed by the source hash — so the repository
-needs no build step, no setuptools extension, and no wheel story. On
-any failure (no compiler, compile error, load error) the backend simply
-reports itself unavailable and callers fall back to the Python solver;
-nothing in the pipeline requires it.
+in the package and is compiled *at runtime* — once per source revision
+and compiler flags, cached as a shared object keyed by their hash — so
+the repository needs no build step, no setuptools extension, and no
+wheel story. On any failure (no compiler, compile error, load error)
+the backend simply reports itself unavailable and callers fall back to
+the Python solver; nothing in the pipeline requires it.
 
 :class:`NativeSolver` mirrors the subset of the Python ``Solver``
 surface the BMC layer consumes: ``new_var``/``new_vars``/``add_clause``/
-``add_cnf``, ``solve(assumptions=, conflict_budget=, time_budget=)``
-returning a :class:`~repro.sat.solver.SolveResult`, cumulative ``stats``
-snapshots, ``num_vars``, ``len(clauses)``/``len(learnts)``, writable
-``phase`` (used by canonical witness extraction), and ``root_unsat``.
-Models are snapshotted into an immutable byte buffer at SAT exit, so —
-like the Python solver's dict models — they stay valid across later
-solves that disturb the C solver's assignment.
+``add_clauses``/``add_cnf``, ``solve(assumptions=, conflict_budget=,
+time_budget=)`` returning a :class:`~repro.sat.solver.SolveResult`,
+cumulative ``stats`` snapshots, ``num_vars``, ``len(clauses)``/
+``len(learnts)``, writable ``phase`` (used by canonical witness
+extraction), and ``root_unsat``. Models are snapshotted into an
+immutable byte buffer at SAT exit, so — like the Python solver's dict
+models — they stay valid across later solves that disturb the C
+solver's assignment.
+
+Buffered transfer. Clauses do not cross into C one by one: the variable
+count lives in Python (``new_var`` and ``num_vars`` make no foreign
+call), and ``add_clause``/``add_clauses`` validate their literals at
+once (a bad one raises :class:`~repro.sat.solver.SolverError` and
+leaves the buffer as it was), then append them 0-terminated to an
+``array('i')``. The buffer is flushed — the kernel grown to the current
+variable count and every buffered clause added, in order, in one
+``rsat_add_clauses`` call — before anything reads or writes kernel
+state: ``solve``, ``stats``, ``root_unsat``, ``len(clauses)``/
+``len(learnts)`` and ``phase`` writes. A flush adds nothing but
+variables when the first clause after a SAT answer arrives, so that
+the kernel sees the same sequence of variable and clause additions as
+an unbuffered caller would make, and searches identically. A root
+contradiction inside a batch therefore shows in ``root_unsat`` and in
+the next solve, not in ``add_clause``'s (absent) return value.
 """
 
 from __future__ import annotations
@@ -30,6 +47,7 @@ import shutil
 import subprocess
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 from repro.obs.tracer import get_tracer
@@ -43,6 +61,8 @@ from repro.sat.solver import (
 )
 
 _SOURCE = Path(__file__).with_name("_native.c")
+
+_CFLAGS = ("-O3", "-shared", "-fPIC")
 
 # Cached per-process: None = not tried yet, False = unavailable,
 # otherwise the loaded ctypes library.
@@ -67,7 +87,8 @@ def _compile_library():
     if cc is None:
         return None
     source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    key = source + " ".join(_CFLAGS).encode("ascii")
+    digest = hashlib.sha256(key).hexdigest()[:16]
     cache = _cache_dir()
     target = cache / "librsat-{}.so".format(digest)
     if target.exists():
@@ -79,7 +100,7 @@ def _compile_library():
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(cache))
         os.close(fd)
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(_SOURCE)],
+            [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
             capture_output=True,
             timeout=120,
         )
@@ -99,8 +120,7 @@ def _bind(lib):
     sigs = {
         "rsat_new": ([], P),
         "rsat_free": ([P], None),
-        "rsat_new_var": ([P], i32),
-        "rsat_add_clause": ([P, ctypes.POINTER(i32), i32], i32),
+        "rsat_add_clauses": ([P, i32, P, i64], None),
         "rsat_solve": ([P, ctypes.POINTER(i32), i32, i64, ctypes.c_double],
                        i32),
         "rsat_model": ([P, ctypes.POINTER(ctypes.c_uint8)], None),
@@ -115,7 +135,6 @@ def _bind(lib):
         "rsat_solve_calls": ([P], i64),
         "rsat_num_clauses": ([P], i64),
         "rsat_num_learnts": ([P], i64),
-        "rsat_num_vars": ([P], i32),
         "rsat_root_unsat": ([P], i32),
     }
     for name, (argtypes, restype) in sigs.items():
@@ -185,8 +204,9 @@ class _PhaseArray:
 
     def __setitem__(self, var, value):
         self._shadow[var] = bool(value)
-        lib = self._solver._lib
-        lib.rsat_set_phase(self._solver._handle, var, int(bool(value)))
+        solver = self._solver
+        solver._flush()
+        solver._lib.rsat_set_phase(solver._handle, var, int(bool(value)))
 
     def __getitem__(self, var):
         return self._shadow.get(var, False)
@@ -195,14 +215,24 @@ class _PhaseArray:
 class _CountProxy:
     """``len()``-only stand-in for the Python solver's clause lists."""
 
-    __slots__ = ("_fn", "_handle")
+    __slots__ = ("_solver", "_fn")
 
-    def __init__(self, fn, handle):
+    def __init__(self, solver, fn):
+        self._solver = solver
         self._fn = fn
-        self._handle = handle
 
     def __len__(self):
-        return int(self._fn(self._handle))
+        solver = self._solver
+        solver._flush()
+        return int(self._fn(solver._handle))
+
+
+def _bad_literal(literals, num_vars, what):
+    """The first out-of-range or zero literal, as a :class:`SolverError`."""
+    for lit in literals:
+        if lit == 0 or abs(lit) > num_vars:
+            return SolverError("bad {} {!r}".format(what, lit))
+    return SolverError("bad {} 0".format(what))
 
 
 class NativeSolver:
@@ -218,9 +248,15 @@ class NativeSolver:
         self._handle = lib.rsat_new()
         if restart_base != 100:
             lib.rsat_set_restart_base(self._handle, restart_base)
+        self.num_vars = 0
+        # clauses the kernel has not seen yet, 0-terminated
+        self._buf = array("i")
+        # a SAT answer leaves the kernel off its root level until the
+        # next clause backtracks it
+        self._after_sat = False
         self.phase = _PhaseArray(self)
-        self.clauses = _CountProxy(lib.rsat_num_clauses, self._handle)
-        self.learnts = _CountProxy(lib.rsat_num_learnts, self._handle)
+        self.clauses = _CountProxy(self, lib.rsat_num_clauses)
+        self.learnts = _CountProxy(self, lib.rsat_num_learnts)
 
     def __del__(self):
         handle = getattr(self, "_handle", None)
@@ -228,18 +264,24 @@ class NativeSolver:
             self._lib.rsat_free(handle)
             self._handle = None
 
+    def _flush(self):
+        """Grow the kernel to ``num_vars`` and hand it the buffer."""
+        address, length = self._buf.buffer_info()
+        self._lib.rsat_add_clauses(self._handle, self.num_vars, address,
+                                   length)
+        if length:
+            self._buf = array("i")
+
     # ------------------------------------------------------------ state
 
     @property
-    def num_vars(self):
-        return int(self._lib.rsat_num_vars(self._handle))
-
-    @property
     def root_unsat(self):
+        self._flush()
         return bool(self._lib.rsat_root_unsat(self._handle))
 
     @property
     def stats(self):
+        self._flush()
         lib, h = self._lib, self._handle
         return SolverStats(
             conflicts=int(lib.rsat_conflicts(h)),
@@ -253,25 +295,39 @@ class NativeSolver:
     # ---------------------------------------------------------- clauses
 
     def new_var(self):
-        return int(self._lib.rsat_new_var(self._handle))
+        self.num_vars += 1
+        return self.num_vars
 
     def new_vars(self, count):
         return [self.new_var() for _ in range(count)]
 
     def add_clause(self, literals):
-        lits = list(literals)
+        self.add_clauses((literals,))
+
+    def add_clauses(self, clauses):
+        """Add several clauses; all are checked before any is buffered."""
+        flat = []
+        count = 0
+        for clause in clauses:
+            flat.extend(clause)
+            flat.append(0)
+            count += 1
         n = self.num_vars
-        for lit in lits:
-            if lit == 0 or abs(lit) > n:
-                raise SolverError("bad literal {!r}".format(lit))
-        arr = (ctypes.c_int32 * len(lits))(*lits)
-        return bool(self._lib.rsat_add_clause(self._handle, arr, len(lits)))
+        if flat and (min(flat) < -n or max(flat) > n
+                     or flat.count(0) != count):
+            raise _bad_literal([lit for lit in flat if lit], n, "literal")
+        if self._after_sat:
+            # the first clause after a SAT answer backtracks the kernel:
+            # the variables made before it must enter the decision heap
+            # ahead of that backtrack, as they did unbuffered, or heap
+            # ties break differently
+            self._after_sat = False
+            self._flush()
+        self._buf.extend(flat)
 
     def add_cnf(self, cnf):
-        while self.num_vars < cnf.num_vars:
-            self.new_var()
-        for clause in cnf.clauses:
-            self.add_clause(clause)
+        self.num_vars = max(self.num_vars, cnf.num_vars)
+        self.add_clauses(cnf.clauses)
 
     # ------------------------------------------------------------ solve
 
@@ -303,9 +359,10 @@ class NativeSolver:
 
     def _solve(self, assumptions, conflict_budget, time_budget):
         n = self.num_vars
-        for lit in assumptions:
-            if lit == 0 or abs(lit) > n:
-                raise SolverError("bad assumption {!r}".format(lit))
+        if assumptions and (min(assumptions) < -n or max(assumptions) > n
+                            or 0 in assumptions):
+            raise _bad_literal(assumptions, n, "assumption")
+        self._flush()
         lib, h = self._lib, self._handle
         pre_conflicts = int(lib.rsat_conflicts(h))
         pre_decisions = int(lib.rsat_decisions(h))
@@ -322,9 +379,10 @@ class NativeSolver:
         elapsed = time.perf_counter() - start
         model = None
         core = None
+        self._after_sat = code == 1
         if code == 1:
             status = SAT
-            buf = (ctypes.c_uint8 * (self.num_vars + 1))()
+            buf = (ctypes.c_uint8 * (n + 1))()
             lib.rsat_model(h, buf)
             model = _ModelView(bytes(buf))
         elif code == 0:

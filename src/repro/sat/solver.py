@@ -229,6 +229,11 @@ class Solver:
         self._watch(cref, final)
         return True
 
+    def add_clauses(self, clauses):
+        """Add several problem clauses, in order."""
+        for clause in clauses:
+            self.add_clause(clause)
+
     def add_cnf(self, cnf):
         """Import a :class:`~repro.sat.cnf.Cnf` (allocating variables)."""
         while self.num_vars < cnf.num_vars:

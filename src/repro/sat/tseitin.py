@@ -1,10 +1,14 @@
 """Tseitin encoding of netlist cells into CNF clauses.
 
-Gates become clause groups over a sink (``add_clause``/``new_var``
-interface — both :class:`~repro.sat.cnf.Cnf` and
-:class:`~repro.sat.solver.Solver` qualify). Inverters and buffers are *not*
-encoded: callers alias the output literal to (the negation of) the input
-literal, which roughly halves variable counts on typical netlists. The same
+Gates become clause groups over a sink (``new_var``/``add_clause``/
+``add_clauses`` interface — :class:`~repro.sat.cnf.Cnf`,
+:class:`~repro.sat.solver.Solver` and
+:class:`~repro.sat.native.NativeSolver` all qualify). Each gate's group
+goes to the sink in one ``add_clauses`` call; an n-ary XOR makes one per
+2-input stage, because it allocates each stage's auxiliary variable just
+before that stage's clauses. Inverters and buffers are *not* encoded:
+callers alias the output literal to (the negation of) the input literal,
+which roughly halves variable counts on typical netlists. The same
 applies to NAND/NOR/XNOR: they are encoded as their base gate with an
 inverted output literal by :func:`encode_cell`.
 """
@@ -17,24 +21,26 @@ from repro.netlist.cells import Kind
 
 def encode_and(sink, out, inputs):
     """out <-> AND(inputs)."""
-    for lit in inputs:
-        sink.add_clause([-out, lit])
-    sink.add_clause([out] + [-lit for lit in inputs])
+    clauses = [[-out, lit] for lit in inputs]
+    clauses.append([out] + [-lit for lit in inputs])
+    sink.add_clauses(clauses)
 
 
 def encode_or(sink, out, inputs):
     """out <-> OR(inputs)."""
-    for lit in inputs:
-        sink.add_clause([out, -lit])
-    sink.add_clause([-out] + list(inputs))
+    clauses = [[out, -lit] for lit in inputs]
+    clauses.append([-out] + list(inputs))
+    sink.add_clauses(clauses)
 
 
 def encode_xor2(sink, out, a, b):
     """out <-> a XOR b."""
-    sink.add_clause([-out, a, b])
-    sink.add_clause([-out, -a, -b])
-    sink.add_clause([out, -a, b])
-    sink.add_clause([out, a, -b])
+    sink.add_clauses((
+        [-out, a, b],
+        [-out, -a, -b],
+        [out, -a, b],
+        [out, a, -b],
+    ))
 
 
 def encode_xor(sink, out, inputs):
@@ -49,18 +55,19 @@ def encode_xor(sink, out, inputs):
         acc = nxt
     if len(inputs) == 1:
         # Degenerate 1-input XOR is a buffer.
-        sink.add_clause([-out, inputs[0]])
-        sink.add_clause([out, -inputs[0]])
+        sink.add_clauses(([-out, inputs[0]], [out, -inputs[0]]))
 
 
 def encode_mux(sink, out, sel, d0, d1):
     """out <-> sel ? d1 : d0 (with the redundant propagation clauses)."""
-    sink.add_clause([-sel, -d1, out])
-    sink.add_clause([-sel, d1, -out])
-    sink.add_clause([sel, -d0, out])
-    sink.add_clause([sel, d0, -out])
-    sink.add_clause([d0, d1, -out])
-    sink.add_clause([-d0, -d1, out])
+    sink.add_clauses((
+        [-sel, -d1, out],
+        [-sel, d1, -out],
+        [sel, -d0, out],
+        [sel, d0, -out],
+        [d0, d1, -out],
+        [-d0, -d1, out],
+    ))
 
 
 def encode_cell(sink, kind, out_lit, in_lits):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CombinationalLoopError
 from repro.netlist import (
+    Cell,
     Circuit,
     Kind,
     Netlist,
@@ -47,6 +48,63 @@ class TestTopologicalOrder:
     def test_flops_break_loops(self):
         nl = build_counter()  # counter feeds back through flops
         topological_cells(nl)  # must not raise
+
+
+def _two_gates():
+    """c0: x = a AND b; c1: y = a OR b — independent, order [0, 1]."""
+    nl = Netlist("memo")
+    a, b = nl.add_input("a"), nl.add_input("b")
+    x = nl.add_cell(Kind.AND, (a[0], b[0]))
+    y = nl.add_cell(Kind.OR, (a[0], b[0]))
+    return nl, a[0], x, y
+
+
+class TestTopologicalMemo:
+    def test_repeat_call_reuses_the_order(self, monkeypatch):
+        nl, _, _, _ = _two_gates()
+        first = topological_cells(nl)
+
+        def no_driver(net):
+            raise AssertionError("order recomputed")
+
+        monkeypatch.setattr(nl, "driver_of", no_driver)
+        assert topological_cells(nl) == first
+
+    def test_add_cell_misses(self):
+        nl, a, x, y = _two_gates()
+        assert topological_cells(nl) == [0, 1]
+        nl.add_cell(Kind.XOR, (x, y))
+        assert topological_cells(nl) == [0, 1, 2]
+
+    def test_in_place_replacement_misses(self):
+        nl, a, x, y = _two_gates()
+        assert topological_cells(nl) == [0, 1]
+        # x now reads y, so c1 must come first
+        nl.cells[0] = Cell(Kind.AND, (y, a), x)
+        assert topological_cells(nl) == [1, 0]
+        nl.cells[1] = Cell(Kind.OR, (x, a), y)
+        with pytest.raises(CombinationalLoopError):
+            topological_cells(nl)
+
+    def test_clone_that_gains_cells_gets_its_own_order(self):
+        nl, a, x, y = _two_gates()
+        assert topological_cells(nl) == [0, 1]
+        twin = nl.clone()
+        assert topological_cells(twin) == [0, 1]
+        twin.add_cell(Kind.AND, (x, y))
+        assert topological_cells(twin) == [0, 1, 2]
+        assert topological_cells(nl) == [0, 1]
+        nl.cells[0] = Cell(Kind.AND, (y, a), x)
+        assert topological_cells(nl) == [1, 0]
+        assert topological_cells(twin) == [0, 1, 2]
+
+    def test_changing_a_returned_list_leaves_the_memo(self):
+        nl, _, _, _ = _two_gates()
+        order = topological_cells(nl)
+        order.reverse()
+        order.append(7)
+        assert topological_cells(nl) == [0, 1]
+        assert topological_cells(nl) is not topological_cells(nl)
 
 
 class TestLevelize:

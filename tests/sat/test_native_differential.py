@@ -203,3 +203,157 @@ def test_fuzz_native_incremental_assumptions(data, assumption_rounds):
             assert r_nat.core is not None
             assert set(r_nat.core) <= set(assumptions)
             assert not brute_force_sat(6, clauses_so_far, r_nat.core)
+
+
+class TestBufferedTransfer:
+    def test_root_unsat_inside_one_unflushed_batch(self):
+        s = NativeSolver()
+        (a,) = s.new_vars(1)
+        s.add_clause([a])
+        s.add_clause([-a])
+        assert s.root_unsat
+        assert s.solve().status == UNSAT
+
+    def test_root_unsat_inside_one_add_clauses_call(self):
+        s = NativeSolver()
+        a, b = s.new_vars(2)
+        s.add_clauses([[a, b], [-a], [-b]])
+        assert s.root_unsat
+        assert s.solve(assumptions=[a]).status == UNSAT
+
+    @pytest.mark.parametrize("bad", [[1, 3], [1, -3], [0], [1, 0, 2]])
+    def test_bad_literal_leaves_buffer_unchanged(self, bad):
+        from repro.sat.solver import SolverError
+
+        s = NativeSolver()
+        a, b = s.new_vars(2)
+        s.add_clause([a, b])
+        before = s._buf.tolist()
+        with pytest.raises(SolverError):
+            s.add_clause(bad)
+        assert s._buf.tolist() == before
+        with pytest.raises(SolverError):
+            s.add_clauses([[-a], bad])
+        assert s._buf.tolist() == before
+        assert len(s.clauses) == 1
+        assert s.solve(assumptions=[-a]).model[b]
+
+    def test_variable_made_after_a_sat_answer_searches_as_unbuffered(self):
+        # the SAT answer leaves the kernel off its root; variable 5 must
+        # enter the decision heap before the clause's backtrack, as it did
+        # when every call crossed into C on its own
+        lazy, eager = NativeSolver(), NativeSolver()
+        for s in (lazy, eager):
+            s.new_vars(4)
+            _eager(s)
+            assert s.solve().status == SAT
+        results = []
+        for s, flush in ((lazy, lambda _s: None), (eager, _eager)):
+            s.new_var()
+            flush(s)
+            s.add_clause([4, -3, 2])
+            flush(s)
+            r = s.solve(assumptions=[-5, -1])
+            results.append((r.status, r.decisions, r.propagations,
+                            r.model._buf))
+        assert results[0] == results[1]
+
+    def test_add_cnf_grows_variables(self):
+        from repro.sat import Cnf
+
+        cnf = Cnf()
+        a, b, c = cnf.new_vars(3)
+        cnf.add_clauses([[a, b], [-a, c], [-c]])
+        s = NativeSolver()
+        s.add_cnf(cnf)
+        assert s.num_vars == 3
+        r = s.solve()
+        assert r.status == SAT and model_satisfies(r.model, cnf.clauses)
+
+
+def _eager(solver):
+    """Flush after every call, as if each one crossed into C alone."""
+    len(solver.clauses)
+
+
+_NVARS = 5
+
+op_strategy = st.one_of(
+    st.tuples(st.just("var")),
+    st.tuples(st.just("clause"), clause_strategy),
+    st.tuples(st.just("clauses"), st.lists(clause_strategy, max_size=3)),
+    st.tuples(
+        st.just("solve"),
+        st.lists(st.integers(min_value=1, max_value=8).flatmap(
+            lambda v: st.sampled_from([v, -v])), max_size=3),
+    ),
+    st.tuples(st.just("phase"), st.integers(min_value=1, max_value=8),
+              st.booleans()),
+    st.tuples(st.just("read")),
+)
+
+
+def _fit(lits, num_vars):
+    """Map literals onto the variables allocated so far."""
+    return [(abs(lit) - 1) % num_vars + 1 if lit > 0
+            else -((abs(lit) - 1) % num_vars + 1) for lit in lits]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(op_strategy, min_size=1, max_size=25))
+def test_fuzz_buffered_interleaving(ops):
+    """new_var, add_clause(s), solve, phase writes and state reads in any
+    order: verdicts match the Python solver and brute force, and the
+    buffered solver searches exactly like one flushed after every call."""
+    py = Solver()
+    lazy = NativeSolver()
+    eager = NativeSolver()
+    for s in (py, lazy, eager):
+        s.new_vars(_NVARS)
+    _eager(eager)
+    clauses = []
+    for op in ops:
+        n = py.num_vars
+        if op[0] == "var":
+            if n >= 8:  # keeps brute force small
+                continue
+            assert py.new_var() == lazy.new_var() == eager.new_var()
+            _eager(eager)
+        elif op[0] == "clause":
+            clause = _fit(op[1], n)
+            clauses.append(clause)
+            for s in (py, lazy, eager):
+                s.add_clause(clause)
+            _eager(eager)
+        elif op[0] == "clauses":
+            group = [_fit(c, n) for c in op[1]]
+            clauses.extend(group)
+            for s in (py, lazy, eager):
+                s.add_clauses(group)
+            _eager(eager)
+        elif op[0] == "solve":
+            assumptions = _fit(op[1], n)
+            r_py = py.solve(assumptions=assumptions)
+            r_lazy = lazy.solve(assumptions=assumptions)
+            r_eager = eager.solve(assumptions=assumptions)
+            expected = brute_force_sat(n, clauses, assumptions)
+            assert (r_py.status == SAT) == expected
+            assert r_lazy.status == r_py.status
+            assert (r_lazy.conflicts, r_lazy.decisions, r_lazy.propagations,
+                    r_lazy.core) == (r_eager.conflicts, r_eager.decisions,
+                                     r_eager.propagations, r_eager.core)
+            if r_lazy.status == SAT:
+                assert model_satisfies(r_lazy.model, clauses, assumptions)
+                assert r_lazy.model._buf == r_eager.model._buf
+        elif op[0] == "phase":
+            var = (op[1] - 1) % n + 1
+            lazy.phase[var] = op[2]
+            eager.phase[var] = op[2]
+        else:
+            assert len(lazy.clauses) == len(eager.clauses)
+            assert len(lazy.learnts) == len(eager.learnts)
+            assert lazy.root_unsat == eager.root_unsat
+            if lazy.root_unsat:
+                assert not brute_force_sat(n, clauses)
+            assert lazy.stats == eager.stats
+    assert lazy.num_vars == eager.num_vars == py.num_vars

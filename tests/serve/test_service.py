@@ -1,6 +1,5 @@
 """Audit service: HTTP API, worker threads, graceful drain."""
 
-import json
 import threading
 
 import pytest
